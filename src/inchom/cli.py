@@ -96,8 +96,8 @@ def cmd_homology(args) -> dict:
         raise DataError("give both -j and -i, or neither")
     if args.j is not None:
         inputs |= {"j": args.j, "i": args.i}
-        tc = homology.trace_check(spec, field, args.j, args.i)
-        dim = homology.homology_dim(spec, field, args.j, args.i)
+        tc = homology.trace_check(spec, field, args.j, args.i, cap=args.max_rank_size)
+        dim = homology.homology_dim(spec, field, args.j, args.i, cap=args.max_rank_size)
         window = homology.vanishing_window(spec.n, pi, args.j, args.i)
         results = {
             "pi": pi,
@@ -113,7 +113,7 @@ def cmd_homology(args) -> dict:
         }
         status = "pass" if tc.passed and (window or dim == 0) else "fail"
     else:
-        report = homology.homology_scan(spec, field)
+        report = homology.homology_scan(spec, field, cap=args.max_rank_size)
         results = report.to_dict()
         status = "pass" if report.passed else "fail"
     return {"command": "homology", "inputs": inputs, "results": results, "status": status}
@@ -382,17 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "max_rank_size", None):
-        poset.DEFAULT_RANK_CAP = args.max_rank_size
     started = time.perf_counter()
     try:
         report = args.func(args)
     except (DataError, IncompatibleFieldError, ResourceLimitError,
             InternalConsistencyError, ValueError, OSError) as exc:
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")}
         report = {
             "command": args.command,
-            "inputs": {},
-            "results": {"error": str(exc)},
+            "inputs": inputs,
+            "results": {"error": str(exc), "type": type(exc).__name__},
             "status": "error",
         }
     elapsed = time.perf_counter() - started

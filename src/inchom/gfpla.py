@@ -158,9 +158,14 @@ def _rank_modp(m: SparseMat) -> int:
         A = A.T.copy()
     rows, cols = A.shape
     # lazy reduction: per pivot only the pivot column and row are reduced, so
-    # off-pivot values grow by at most (p-1)^2 per step
-    if (p - 1) ** 2 * (min(rows, cols) + 1) < 2**31:
+    # off-pivot values grow by at most (p-1)^2 per step (the pivot-row product
+    # itself is at most (p-1)^2) and stay below (p-1)^2 * (steps + 1) in size;
+    # past int64 the same elimination runs on Python integers
+    bound = (p - 1) ** 2 * (min(rows, cols) + 1)
+    if bound < 2**31:
         A = A.astype(np.int32)
+    elif bound >= 2**63:
+        A = A.astype(object)
     r = 0
     for c in range(cols):
         if r == rows:

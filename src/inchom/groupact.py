@@ -15,12 +15,9 @@ import numpy as np
 
 from . import gf, poset
 from .errors import DataError, InternalConsistencyError, ResourceLimitError
-from .poset import PosetSpec, _bool_mask_array, enumerate_rank, rank_size
+from .poset import PosetSpec, _bool_mask_array, rank_size
 
 DEFAULT_GROUP_CAP = 1_000_000
-
-# above this many rank elements, orbit merging switches to the vectorized path
-_VECTOR_THRESHOLD = 1 << 16
 
 
 def _pmul(a, b):
@@ -425,65 +422,115 @@ def burnside_counts(g: Group, spec: PosetSpec, cap: int | None = None) -> OrbitS
     return OrbitSeries(n=n, values=tuple(values))
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        self.count -= 1
+# masks per block of the boolean image stage; bounds the temporaries, not the result
+_BLOCK = 1 << 14
 
 
-def _components_vectorized(n: int, images) -> int:
-    """Orbit count via minimum-label propagation with pointer doubling."""
-    labels = np.arange(n, dtype=np.int64)
-    maps = []
-    for img in images:
-        maps.append(img)
-        inv = np.empty_like(img)
-        inv[img] = np.arange(n, dtype=np.int64)
-        maps.append(inv)
+def _index_dtype(size: int):
+    return np.int32 if size < 2**31 else np.int64
+
+
+@lru_cache(maxsize=8)
+def _colex_tables(nbytes: int):
+    """Byte-wise colex rank table, and the row step of every byte value.
+
+    Row j of byte b holds, at column v, the colex contribution of byte value
+    v at byte b when j bits are set below that byte: the sum of C(8b + t,
+    j + m) over the m-th set bit t of v.  Rows are 256 apart, so a byte moves
+    the row offset on by 256 times its popcount.  The position of a weight-k
+    mask among all weight-k masks in ascending order (which is colex order)
+    is the sum of its bytes' entries.
+    """
+    width = 8 * nbytes
+    binom = np.zeros((width, width + 9), dtype=np.int64)
+    binom[:, 0] = 1
+    for c in range(1, width):
+        binom[c, 1:] = binom[c - 1, 1:] + binom[c - 1, :-1]
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    below = np.cumsum(bits, axis=1) - bits
+    c = 8 * np.arange(nbytes)[:, None, None, None] + np.arange(8)
+    r = np.arange(width)[:, None, None] + below + 1
+    table = (binom[c, r] * bits).sum(axis=3)
+    return table.reshape(nbytes, width * 256), 256 * bits.sum(axis=1)
+
+
+def _byte_images(perm, nbytes: int) -> np.ndarray:
+    """Image of every byte value at every byte position, as uint64 masks (nbytes x 256)."""
+    dst = np.zeros(8 * nbytes, dtype=np.uint64)
+    dst[: len(perm)] = np.left_shift(np.uint64(1), np.array(perm, dtype=np.uint64))
+    bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
+    return np.bitwise_or.reduce(
+        np.where(bits, dst.reshape(nbytes, 1, 8), np.uint64(0)), axis=2
+    )
+
+
+def _boolean_index_map(masks: np.ndarray, perm, k: int) -> np.ndarray:
+    """Positions in masks (all weight-k masks, ascending) of the images of masks under perm."""
+    size = masks.size
+    nbytes = (len(perm) + 7) // 8
+    colex, step = _colex_tables(nbytes)
+    images = _byte_images(perm, nbytes)
+    out = np.empty(size, dtype=_index_dtype(size))
+    # little-endian views: column b of the byte view holds bits 8b..8b+7
+    for s in range(0, size, _BLOCK):
+        src = masks[s : s + _BLOCK].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        img = np.take(images[0], src[:, 0])
+        for b in range(1, nbytes):
+            img |= np.take(images[b], src[:, b])
+        dst = img.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        idx = np.take(colex[0], dst[:, 0])
+        row = np.take(step, dst[:, 0])
+        for b in range(1, nbytes):
+            idx += np.take(colex[b], row + dst[:, b])
+            row += np.take(step, dst[:, b])
+        inside = (row == 256 * k) & (idx >= 0) & (idx < size)
+        if not inside.all() or not np.array_equal(np.take(masks, idx), img):
+            raise InternalConsistencyError("permutation image left the rank set")
+        out[s : s + _BLOCK] = idx
+    return out
+
+
+def _count_components(size: int, maps) -> int:
+    """Number of orbits on 0..size-1 of the group generated by the index maps.
+
+    The orbits are the connected components of the graph with an edge from
+    every i to each img[i].  Every label starts as its own index and each
+    round starts with every label a root (its own label).  For each map whose
+    images do not all carry the label of their preimage, a round lowers the
+    label of each endpoint's root to the other endpoint's label, along the
+    map and its inverse; then labels jump to their label's label until
+    stable.  A round with no such map ends the loop: labels are then constant
+    along every edge, so each orbit has exactly one root, its least element.
+    """
+    ids = np.arange(size, dtype=_index_dtype(size))
+    labels = ids.copy()
     while True:
+        before = labels.copy()
+        stable = True
         for img in maps:
-            np.minimum(labels, labels[img], out=labels)
+            ahead = labels[img]
+            if np.array_equal(ahead, before):
+                continue
+            stable = False
+            np.minimum.at(labels, before, ahead)
+            np.minimum.at(labels, ahead, before)
+        if stable:
+            return int(np.count_nonzero(labels == ids))
         while True:
-            nxt = labels[labels]
-            if np.array_equal(nxt, labels):
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
                 break
-            labels = nxt
-        if all(np.array_equal(np.minimum(labels, labels[img]), labels) for img in maps):
-            return int(np.unique(labels).size)
-
-
-def _boolean_image_indices(masks: np.ndarray, perm) -> np.ndarray:
-    images = np.zeros_like(masks)
-    for src, dst in enumerate(perm):
-        images |= ((masks >> np.uint64(src)) & np.uint64(1)) << np.uint64(dst)
-    idx = np.searchsorted(masks, images)
-    if not np.array_equal(masks[idx], images):
-        raise InternalConsistencyError("permutation image left the rank set")
-    return idx.astype(np.int64)
+            labels = jumped
 
 
 def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = None) -> int:
-    """Exact number of generator-closure orbits on the rank-k elements."""
+    """Exact number of generator-closure orbits on the rank-k elements.
+
+    Each generator becomes an index map on the rank set, built once:
+    byte-table images ranked in colex order for subsets, `act` plus the
+    canonical-form index for subspaces.  One label propagation counts the
+    orbits of the maps.
+    """
     _check_action(g, spec)
     size = rank_size(spec, k)
     limit = poset.DEFAULT_RANK_CAP if cap is None else cap
@@ -496,22 +543,16 @@ def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = N
 
     if spec.kind == "boolean":
         masks = _bool_mask_array(spec.n, k)
-        index_maps = [_boolean_image_indices(masks, perm) for perm in g.generators]
-        if size > _VECTOR_THRESHOLD:
-            return _components_vectorized(size, index_maps)
-        uf = UnionFind(size)
-        for img in index_maps:
-            for i, j in enumerate(img.tolist()):
-                uf.union(i, j)
-        return uf.count
-
-    elements = enumerate_rank(spec, k, cap=limit)
-    index = {x: i for i, x in enumerate(elements)}
-    uf = UnionFind(size)
-    for mat in g.generators:
-        for i, x in enumerate(elements):
-            uf.union(i, index[act(mat, x, spec)])
-    return uf.count
+        maps = [_boolean_index_map(masks, perm, k) for perm in g.generators]
+    else:
+        elements = poset._proj_elements(spec, k)
+        index = poset._proj_index(spec, k)
+        maps = [
+            np.fromiter((index[act(mat, x, spec)] for x in elements),
+                        dtype=_index_dtype(size), count=size)
+            for mat in g.generators
+        ]
+    return _count_components(size, maps)
 
 
 def act(element, x, spec: PosetSpec):

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .errors import InternalConsistencyError
 from .gfpla import power_boundary, rank
-from .poset import PosetSpec, rank_size
+from .poset import PosetSpec, _check_cap, rank_size
 from .qarith import FieldSpec, quantum_char
 
 
@@ -89,13 +89,26 @@ def _power_rank(spec: PosetSpec, field: FieldSpec, k: int, i: int) -> int:
     return rank(power_boundary(spec, k, i, field))
 
 
-def homology_dim(spec: PosetSpec, field: FieldSpec, j: int, i: int) -> int:
-    """dim of (kernel of the i-fold boundary on rank j) / (image of the (pi-i)-fold boundary)."""
+def homology_dim(spec: PosetSpec, field: FieldSpec, j: int, i: int, cap: int | None = None) -> int:
+    """dim of (kernel of the i-fold boundary on rank j) / (image of the (pi-i)-fold boundary).
+
+    Raises ResourceLimitError when rank j or a rank the two boundary powers
+    read has more than cap elements, before any cached matrix is used.  With
+    cap None, the incidence builder applies poset.DEFAULT_RANK_CAP, so no
+    cached matrix exceeds it.
+    """
     pi = quantum_char(field.p, spec.q)
     if not (0 < i < pi):
         raise ValueError(f"need 0 < i < pi = {pi}, got i={i}")
     if not (0 <= j <= spec.n):
         raise ValueError(f"need 0 <= j <= {spec.n}, got j={j}")
+    if cap is not None:
+        # the powers read ranks j - i..j and j..j + pi - i when those lie in
+        # 0..n; rank sizes are unimodal and symmetric about n/2, so the
+        # largest rank read is the one of that range nearest n/2
+        lo = j - i if j >= i else j
+        hi = j + pi - i if j + pi - i <= spec.n else j
+        _check_cap(spec, min(max(spec.n // 2, lo), hi), cap)
     kernel = rank_size(spec, j) - _power_rank(spec, field, j, i)
     image = _power_rank(spec, field, j + pi - i, pi - i)
     dim = kernel - image
@@ -114,11 +127,11 @@ def _folded_rank_sum(spec: PosetSpec, k: int, pi: int) -> int:
     return total
 
 
-def _dim_any(spec: PosetSpec, field: FieldSpec, j: int, i: int) -> int:
+def _dim_any(spec: PosetSpec, field: FieldSpec, j: int, i: int, cap) -> int:
     """Homology dimension with ranks outside 0..n treated as the zero module."""
     if j < 0 or j > spec.n:
         return 0
-    return homology_dim(spec, field, j, i)
+    return homology_dim(spec, field, j, i, cap)
 
 
 def distinguished_slot(n: int, pi: int, j: int, i: int) -> tuple | None:
@@ -148,13 +161,14 @@ class TraceCheck:
     layout: SequenceLayout
 
 
-def trace_check(spec: PosetSpec, field: FieldSpec, j: int, i: int) -> TraceCheck:
+def trace_check(spec: PosetSpec, field: FieldSpec, j: int, i: int,
+                cap: int | None = None) -> TraceCheck:
     """Check the trace identity of the almost-exact sequence through (j, i).
 
     The sequence has at most one homology slot inside the window; lhs is the
     dimension there (or at (j, i) itself when the sequence is exact), and rhs
     is (-1)^d ([size_b] - [size_a]) folded mod pi, with the arrow (a, b) and
-    the position d taken at that slot.
+    the position d taken at that slot.  cap is passed to homology_dim.
     """
     pi = quantum_char(field.p, spec.q)
     if not (0 < i < pi):
@@ -163,7 +177,7 @@ def trace_check(spec: PosetSpec, field: FieldSpec, j: int, i: int) -> TraceCheck
     if slot is None:
         slot = (j, i)
     js, is_ = slot
-    lhs = _dim_any(spec, field, js, is_)
+    lhs = _dim_any(spec, field, js, is_, cap)
     layout = sequence_layout(js, is_, pi, spec.n)
     a, b = layout.arrow
     rhs = (-1) ** layout.d * (
@@ -212,12 +226,12 @@ class HomologyReport:
         }
 
 
-def homology_scan(spec: PosetSpec, field: FieldSpec) -> HomologyReport:
+def homology_scan(spec: PosetSpec, field: FieldSpec, cap: int | None = None) -> HomologyReport:
     """Check every (j, i) with 0 <= j <= n, 0 < i < pi.
 
     A record passes when the trace identity holds and the dimension vanishes
     outside the window.  A negative signed rhs would mean the position
-    convention broke, and aborts the scan.
+    convention broke, and aborts the scan.  cap is passed to homology_dim.
     """
     pi = quantum_char(field.p, spec.q)
     records = []
@@ -228,8 +242,8 @@ def homology_scan(spec: PosetSpec, field: FieldSpec) -> HomologyReport:
             if not any(sizes):
                 continue
             window = vanishing_window(spec.n, pi, j, i)
-            dim = homology_dim(spec, field, j, i)
-            tc = trace_check(spec, field, j, i)
+            dim = homology_dim(spec, field, j, i, cap)
+            tc = trace_check(spec, field, j, i, cap)
             if tc.rhs < 0:
                 raise InternalConsistencyError(
                     f"negative signed trace value {tc.rhs} at (j={j}, i={i})"

@@ -167,3 +167,44 @@ def test_human_output_has_timing_but_json_does_not(capsys):
 def test_exit_code_contract(capsys):
     assert run(capsys, "chain", "--series", "1,2,1", "--pi", "2")[0] == 0
     assert run(capsys, "chain", "--series", "5,0,5", "--pi", "2")[0] == 1
+
+
+def test_max_rank_size_leaves_library_defaults_alone(capsys):
+    from inchom.homology import homology_scan
+    from inchom.poset import PosetSpec, enumerate_rank
+    from inchom.qarith import FieldSpec
+
+    code, _ = run_json(capsys, "orbits", "data:c4.json", "boolean:4", "-k", "1",
+                       "--max-rank-size", "5")
+    assert code == 0
+    assert len(enumerate_rank(PosetSpec.boolean(4), 2)) == 6
+    assert homology_scan(PosetSpec.boolean(4), FieldSpec(3)).passed
+
+
+def test_max_rank_size_zero_is_honoured_everywhere(capsys):
+    for argv in (("homology", "boolean:4", "-p", "3"),
+                 ("homology", "boolean:4", "-p", "3", "-j", "2", "-i", "1"),
+                 ("orbits", "data:c4.json", "boolean:4")):
+        code, doc = run_json(capsys, *argv, "--max-rank-size", "0")
+        assert code == 2 and doc["results"]["type"] == "ResourceLimitError", argv
+
+
+def test_rank_cap_applies_to_warm_caches(capsys):
+    # the scan without a cap builds and caches every matrix first
+    code, _ = run_json(capsys, "homology", "boolean:6", "-p", "3")
+    assert code == 0
+    code, doc = run_json(capsys, "homology", "boolean:6", "-p", "3", "--max-rank-size", "19")
+    assert code == 2 and "over the cap 19" in doc["results"]["error"]
+    code, doc = run_json(capsys, "homology", "boolean:6", "-p", "3", "--max-rank-size", "20")
+    assert code == 0
+
+
+def test_error_report_keeps_inputs_and_type(capsys):
+    code, doc = run_json(capsys, "order", "no_such_file.json", "--max-group-order", "7")
+    assert code == 2
+    assert doc["inputs"] == {"group": "no_such_file.json", "max_group_order": 7}
+    assert doc["results"]["type"] == "FileNotFoundError"
+    code, doc = run_json(capsys, "orbits", "data:c4.json", "boolean:5")
+    assert doc["inputs"] == {"group": "data:c4.json", "poset": "boolean:5", "k": None,
+                             "method": "uf", "max_rank_size": None, "max_group_order": None}
+    assert doc["results"]["type"] == "DataError"

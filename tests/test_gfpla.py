@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inchom.gfpla import SparseMat, matmul, nullity, power_boundary, rank
 from inchom.poset import PosetSpec, boundary_matrix, incidence_matrix
@@ -174,3 +176,48 @@ def test_rank_modp_random_cross_check():
             entries[(r, c)] = v
     m = SparseMat(9, 11, entries, 5)
     assert rank(m) == span_rank(m) == rank(m.transpose())
+
+
+def elimination_rank(rows, p):
+    """Independent oracle: Gaussian elimination mod p on Python integers."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# primes on both sides of the int32 and int64 kernel limits, up to 2^61 - 1
+RANK_PRIMES = [3, 7, 1009, 46337, 2**31 - 1, 4294967291, 2**61 - 1]
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products B C of random factors over GF(p), so the rank is often below full."""
+    p = draw(st.sampled_from(RANK_PRIMES))
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    r = draw(st.integers(0, min(m, n)))
+    entry = st.integers(0, p - 1)
+    b = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    c = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    return p, [[sum(b[i][t] * c[t][j] for t in range(r)) % p for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_matrices())
+def test_rank_modp_matches_elimination_oracle(case):
+    p, dense = case
+    entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    m = SparseMat(len(dense), len(dense[0]), entries, p)
+    assert rank(m) == elimination_rank(dense, p)

@@ -1,12 +1,17 @@
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import closure, corpus, pmul
 from inchom.cli import data_text
-from inchom.errors import DataError, ResourceLimitError
+from inchom.errors import DataError, InternalConsistencyError, ResourceLimitError
 from inchom.groupact import (
-    UnionFind,
+    Group,
+    _boolean_index_map,
     act,
     burnside_counts,
     cycle_type,
@@ -17,7 +22,7 @@ from inchom.groupact import (
     parse_cycles,
     parse_group,
 )
-from inchom.poset import PosetSpec, enumerate_rank
+from inchom.poset import PosetSpec, _bool_mask_array, enumerate_rank
 
 
 def test_parse_cycles():
@@ -173,18 +178,88 @@ def test_unionfind_matches_brute_force_boolean():
 
 
 def test_unionfind_vectorized_path_agrees():
-    # degree 20 pushes C(20, 10) = 184756 over the vectorized threshold
-    import inchom.groupact as ga
-
+    # C(20, 10) = 184756 elements spans many blocks of the image stage
     rot = tuple((i + 1) % 20 for i in range(20))
     doc = {"kind": "permutation", "degree": 20,
            "generators": [cycles_of(rot)]}
     g = parse_group(json.dumps(doc))
     spec = PosetSpec.boolean(20)
-    assert ga._VECTOR_THRESHOLD < 184756
     got = orbit_count_unionfind(g, spec, 10)
     series = burnside_counts(g, spec)
     assert got == series.values[10]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3),
+        st.integers(0, n),
+    )
+))
+def test_unionfind_matches_brute_force_random_generators(case):
+    gens, k = case
+    n = len(gens[0])
+    spec = PosetSpec.boolean(n)
+    g = Group(kind="permutation", degree=n, generators=tuple(gens))
+    want = brute_orbit_count(gens, enumerate_rank(spec, k), lambda p, m: act(p, m, spec))
+    assert orbit_count_unionfind(g, spec, k) == want
+
+
+@pytest.mark.parametrize("n", [33, 63])
+def test_unionfind_many_byte_tables(n):
+    # degree 33 needs five byte tables, degree 63 eight
+    rng = random.Random(n)
+    gens = []
+    for _ in range(2):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        gens.append(tuple(perm))
+    gens.append(tuple(range(1, 11)) + (0,) + tuple(range(11, n)))
+    g = Group(kind="permutation", degree=n, generators=tuple(gens))
+    spec = PosetSpec.boolean(n)
+    for k in range(3):
+        want = brute_orbit_count(gens, enumerate_rank(spec, k), lambda p, m: act(p, m, spec))
+        assert orbit_count_unionfind(g, spec, k) == want, k
+    cyclic = Group(kind="permutation", degree=n,
+                   generators=(tuple((i + 1) % n for i in range(n)),))
+    series = burnside_counts(cyclic, spec)
+    assert [orbit_count_unionfind(cyclic, spec, k) for k in range(3)] == list(series.values[:3])
+
+
+@pytest.mark.parametrize("n,k", [(12, 6), (33, 2), (63, 1)])
+def test_boolean_index_map_matches_searchsorted(n, k):
+    perm = list(range(n))
+    random.Random(7).shuffle(perm)
+    masks = _bool_mask_array(n, k)
+    images = np.array([act(perm, int(m), PosetSpec.boolean(n)) for m in masks], dtype=np.uint64)
+    got = _boolean_index_map(masks, perm, k)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, np.searchsorted(masks, images))
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 2), (0, 1, 5), (2, 3, 1)])
+def test_image_outside_rank_set_is_caught(bad):
+    # not permutations of 0..2: two points merge, or a point leaves the 3-set
+    g = Group(kind="permutation", degree=3, generators=(bad,))
+    with pytest.raises(InternalConsistencyError):
+        orbit_count_unionfind(g, PosetSpec.boolean(3), 2)
+
+
+def test_unionfind_matrix_groups_match_brute_force():
+    groups = [
+        (3, 2, [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]]),
+        (3, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+        (4, 2, [[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]]),
+        (2, 4, [[[2, 0], [0, 1]], [[1, 1], [0, 1]]]),
+    ]
+    for n, q, gens in groups:
+        g = parse_group(json.dumps({"kind": "matrix", "n": n, "q": q, "generators": gens}))
+        spec = PosetSpec.projective(n, q)
+        for k in range(n + 1):
+            want = brute_orbit_count(
+                g.generators, enumerate_rank(spec, k), lambda m, x: act(m, x, spec)
+            )
+            assert orbit_count_unionfind(g, spec, k) == want, (n, q, k)
 
 
 def test_unionfind_projective():
@@ -245,18 +320,6 @@ def test_orbit_series_livingstone_wagner_on_corpus():
     for name, g, _, _, deg in corpus():
         series = burnside_counts(g, PosetSpec.boolean(deg))
         assert check_lw(series).passed, name
-
-
-def test_unionfind_structure():
-    uf = UnionFind(5)
-    uf.union(0, 1)
-    uf.union(3, 4)
-    assert uf.count == 3
-    uf.union(1, 0)
-    assert uf.count == 3
-    uf.union(0, 4)
-    assert uf.count == 2
-    assert uf.find(3) == uf.find(1)
 
 
 def test_matrix_group_over_gf4():
