@@ -21,7 +21,7 @@ from .groupact import (
 )
 from .homology import homology_dim, homology_scan, sequence_layout, trace_check, vanishing_window
 from .inequal import check_chain, check_lw, check_palindrome, deduce_bounds, fold, symbolic_chain
-from .poset import PosetSpec, boundary_matrix, enumerate_rank, incidence_matrix, rank_size
+from .poset import PosetSpec, boundary_matrix, enumerate_rank, incidence_matrix, incidence_rank, rank_size
 from .qarith import FieldSpec, gauss_binom, q_factorial, q_int, quantum_char
 
 __version__ = "0.1.0"

@@ -3,16 +3,14 @@
 For 0 < i < pi the modules at indices {j + t*pi} and {j - i + t*pi} form a
 two-step periodic sequence whose consecutive maps compose to zero.  This
 module lays out such sequences (initial arrow, position), computes homology
-dimensions from two rank computations, and checks the dimension-level trace
-identity against folded rank-size sums.
+dimensions from closed-form p-ranks of incidence matrices, and checks the
+dimension-level trace identity against folded rank-size sums.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InternalConsistencyError
-from .gfpla import power_boundary, rank
-from .poset import PosetSpec, _check_cap, rank_size
+from .poset import PosetSpec, _check_cap, incidence_rank, rank_size
 from .qarith import FieldSpec, quantum_char
 
 
@@ -82,22 +80,18 @@ def vanishing_window(n: int, pi: int, j: int, i: int) -> bool:
     return n - pi < 2 * j - i < n
 
 
-@lru_cache(maxsize=None)
-def _power_rank(spec: PosetSpec, field: FieldSpec, k: int, i: int) -> int:
-    if k < 0 or k > spec.n or k - i < 0:
-        return 0
-    return rank(power_boundary(spec, k, i, field))
-
-
 def homology_dim(spec: PosetSpec, field: FieldSpec, j: int, i: int, cap: int | None = None) -> int:
     """dim of (kernel of the i-fold boundary on rank j) / (image of the (pi-i)-fold boundary).
 
-    Raises ResourceLimitError when rank j or a rank the two boundary powers
-    read has more than cap elements, before any cached matrix is used.  With
-    cap None, the incidence builder applies poset.DEFAULT_RANK_CAP, so no
-    cached matrix exceeds it.
+    The ranks of both boundary powers come in closed form from
+    poset.incidence_rank, so no matrix is built and cap None sets no
+    ceiling.  A given cap raises ResourceLimitError when rank j or a rank the
+    two boundary powers read has more than cap elements.
     """
-    pi = quantum_char(field.p, spec.q)
+    return _homology_dim(spec, field, quantum_char(field.p, spec.q), j, i, cap)
+
+
+def _homology_dim(spec: PosetSpec, field: FieldSpec, pi: int, j: int, i: int, cap) -> int:
     if not (0 < i < pi):
         raise ValueError(f"need 0 < i < pi = {pi}, got i={i}")
     if not (0 <= j <= spec.n):
@@ -109,8 +103,11 @@ def homology_dim(spec: PosetSpec, field: FieldSpec, j: int, i: int, cap: int | N
         lo = j - i if j >= i else j
         hi = j + pi - i if j + pi - i <= spec.n else j
         _check_cap(spec, min(max(spec.n // 2, lo), hi), cap)
-    kernel = rank_size(spec, j) - _power_rank(spec, field, j, i)
-    image = _power_rank(spec, field, j + pi - i, pi - i)
+    # for 0 < i < pi the i-fold boundary from rank k is (i!)_q times the
+    # incidence matrix W_{k-i,k}, and (i!)_q is a unit mod p, so both have
+    # the same rank
+    kernel = rank_size(spec, j) - incidence_rank(spec, j, i, field)
+    image = incidence_rank(spec, j + pi - i, pi - i, field)
     dim = kernel - image
     if dim < 0:
         raise InternalConsistencyError(
@@ -127,11 +124,11 @@ def _folded_rank_sum(spec: PosetSpec, k: int, pi: int) -> int:
     return total
 
 
-def _dim_any(spec: PosetSpec, field: FieldSpec, j: int, i: int, cap) -> int:
+def _dim_any(spec: PosetSpec, field: FieldSpec, pi: int, j: int, i: int, cap) -> int:
     """Homology dimension with ranks outside 0..n treated as the zero module."""
     if j < 0 or j > spec.n:
         return 0
-    return homology_dim(spec, field, j, i, cap)
+    return _homology_dim(spec, field, pi, j, i, cap)
 
 
 def distinguished_slot(n: int, pi: int, j: int, i: int) -> tuple | None:
@@ -170,14 +167,17 @@ def trace_check(spec: PosetSpec, field: FieldSpec, j: int, i: int,
     is (-1)^d ([size_b] - [size_a]) folded mod pi, with the arrow (a, b) and
     the position d taken at that slot.  cap is passed to homology_dim.
     """
-    pi = quantum_char(field.p, spec.q)
+    return _trace_check(spec, field, quantum_char(field.p, spec.q), j, i, cap)
+
+
+def _trace_check(spec: PosetSpec, field: FieldSpec, pi: int, j: int, i: int, cap) -> TraceCheck:
     if not (0 < i < pi):
         raise ValueError(f"need 0 < i < pi = {pi}, got i={i}")
     slot = distinguished_slot(spec.n, pi, j, i)
     if slot is None:
         slot = (j, i)
     js, is_ = slot
-    lhs = _dim_any(spec, field, js, is_, cap)
+    lhs = _dim_any(spec, field, pi, js, is_, cap)
     layout = sequence_layout(js, is_, pi, spec.n)
     a, b = layout.arrow
     rhs = (-1) ** layout.d * (
@@ -242,8 +242,8 @@ def homology_scan(spec: PosetSpec, field: FieldSpec, cap: int | None = None) -> 
             if not any(sizes):
                 continue
             window = vanishing_window(spec.n, pi, j, i)
-            dim = homology_dim(spec, field, j, i, cap)
-            tc = trace_check(spec, field, j, i, cap)
+            dim = _homology_dim(spec, field, pi, j, i, cap)
+            tc = _trace_check(spec, field, pi, j, i, cap)
             if tc.rhs < 0:
                 raise InternalConsistencyError(
                     f"negative signed trace value {tc.rhs} at (j={j}, i={i})"

@@ -87,7 +87,7 @@ def _check_cap(spec: PosetSpec, k: int, cap) -> int:
     return size
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _bool_mask_array(n: int, k: int) -> np.ndarray:
     """All n-bit masks of weight k, ascending, as uint64."""
     if n > 63:
@@ -221,8 +221,6 @@ def _incidence_cached(spec: PosetSpec, k: int, i: int) -> SparseMat:
     ncols = rank_size(spec, k)
     if k < 0 or k > spec.n or k - i < 0:
         return SparseMat.zero(nrows, ncols, 0)
-    _check_cap(spec, k, None)
-    _check_cap(spec, k - i, None)
     entries = {}
     if spec.kind == "boolean":
         masks = _bool_mask_array(spec.n, k)
@@ -240,10 +238,47 @@ def _incidence_cached(spec: PosetSpec, k: int, i: int) -> SparseMat:
 
 
 def incidence_matrix(spec: PosetSpec, k: int, i: int) -> SparseMat:
-    """0/1 integer matrix with entry (y, x) = 1 iff y <= x and rk x - rk y = i."""
+    """0/1 integer matrix with entry (y, x) = 1 iff y <= x and rk x - rk y = i.
+
+    Raises ResourceLimitError when rank k or rank k - i has more than
+    poset.DEFAULT_RANK_CAP elements, before any cached matrix is used.
+    """
     if i < 1:
         raise ValueError(f"incidence_matrix needs i >= 1, got {i}")
+    _check_cap(spec, k, None)
+    _check_cap(spec, k - i, None)
     return _incidence_cached(spec, k, i)
+
+
+def incidence_rank(spec: PosetSpec, k: int, i: int, field: FieldSpec) -> int:
+    """Rank over GF(p) of incidence_matrix(spec, k, i), in closed form; builds no matrix.
+
+    p = field.p must not divide q.  With t = k - i <= n - k this is
+    Wilson's diagonal form for subsets (Europ. J. Combin. 11, 1990) and its
+    q-analogue for subspaces (Frumkin and Yakir, Israel J. Math. 71, 1990):
+
+        rank = sum over s = 0..t with p not dividing [k-s, t-s]_q
+               of [n, s]_q - [n, s-1]_q.
+
+    For t > n - k, complements of subsets (orthogonal complements of
+    subspaces) reverse inclusion, so the matrix is the transpose of the one
+    for (n - k, n - t), which satisfies the condition.
+    """
+    if i < 1:
+        raise ValueError(f"incidence_rank needs i >= 1, got {i}")
+    n, q, p = spec.n, spec.q, field.p
+    if q % p == 0:
+        raise IncompatibleFieldError(f"characteristic {p} divides q = {q} of {spec.describe()}")
+    t = k - i
+    if k > n or t < 0:
+        return 0
+    if t > n - k:
+        t, k = n - k, n - t
+    return sum(
+        gauss_binom(n, s, q) - gauss_binom(n, s - 1, q)
+        for s in range(t + 1)
+        if gauss_binom(k - s, t - s, q) % p
+    )
 
 
 def boundary_matrix(spec: PosetSpec, k: int, field: FieldSpec) -> SparseMat:

@@ -173,3 +173,27 @@ def test_trace_rhs_reduces_to_rank_difference_for_large_pi():
                 )
             )
             assert tc.rhs == sizes[1] - sizes[0]
+
+
+def test_scan_builds_no_matrix(monkeypatch):
+    # dimensions come from the closed-form ranks only; elimination, products
+    # and incidence builds stay available to tests as the oracle.  The rank
+    # kernels are patched too, so a module that bound `rank` at import
+    # cannot slip past the guard.
+    from inchom import gfpla, poset
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("homology reached the elimination route")
+
+    for name in ("rank", "_rank_gf2", "_rank_modp", "matmul"):
+        monkeypatch.setattr(gfpla, name, forbidden)
+    monkeypatch.setattr(poset, "_incidence_cached", forbidden)
+    assert homology_scan(PosetSpec.boolean(10), FieldSpec(7)).passed
+
+
+def test_scan_far_past_matrix_scale():
+    # the middle rank has C(40, 20) ~ 1.4e11 elements; the trace identity is
+    # the independent oracle of every record
+    rep = homology_scan(PosetSpec.boolean(40), FieldSpec(7))
+    assert rep.passed and len(rep.records) == 41 * 6
+    assert any(r.dim for r in rep.records)

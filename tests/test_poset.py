@@ -1,7 +1,9 @@
 import pytest
 
+from inchom import poset
 from inchom.errors import IncompatibleFieldError, ResourceLimitError
 from inchom.gf import field, prime_power_decomposition, rref
+from inchom.gfpla import rank
 from inchom.poset import (
     PosetSpec,
     boundary_matrix,
@@ -11,6 +13,7 @@ from inchom.poset import (
     enumerate_rank,
     expected_column_ones,
     incidence_matrix,
+    incidence_rank,
     rank_size,
 )
 from inchom.qarith import FieldSpec, gauss_binom, q_int
@@ -174,6 +177,61 @@ def test_incidence_examples():
     for (r, c), v in m.entries.items():
         counts[c] = counts.get(c, 0) + 1
     assert set(counts.values()) == {q_int(2, 2)}
+
+
+def test_incidence_cap_applies_to_warm_cache(monkeypatch):
+    spec = PosetSpec.boolean(8)
+    assert incidence_matrix(spec, 4, 1).cols == 70
+    assert incidence_matrix(spec, 7, 2).rows == 56
+    monkeypatch.setattr(poset, "DEFAULT_RANK_CAP", 10)
+    with pytest.raises(ResourceLimitError):
+        incidence_matrix(spec, 4, 1)
+    with pytest.raises(ResourceLimitError):
+        boundary_matrix(spec, 4, FieldSpec(3))
+    # rank k - i is checked too: 8 seven-sets over 56 five-sets
+    with pytest.raises(ResourceLimitError):
+        incidence_matrix(spec, 7, 2)
+    monkeypatch.setattr(poset, "DEFAULT_RANK_CAP", 56)
+    assert incidence_matrix(spec, 7, 2).rows == 56
+
+
+def test_incidence_rank_matches_elimination():
+    # the closed form against exact elimination for every 1 <= i <= k <= n,
+    # i >= pi included; both branches (t = k - i <= n - k, and the
+    # complemented t > n - k) run for every poset
+    specs = [PosetSpec.boolean(n) for n in range(1, 11)]
+    specs += [PosetSpec.projective(n, 2) for n in range(1, 6)]
+    specs += [PosetSpec.projective(n, 3) for n in range(1, 5)]
+    specs += [PosetSpec.projective(n, q) for q in (4, 5) for n in range(1, 4)]
+    cases = 0
+    for spec in specs:
+        branches = set()
+        for p in (2, 3, 5, 7, 11, 13):
+            if spec.q % p == 0:
+                continue
+            for k in range(1, spec.n + 1):
+                for i in range(1, k + 1):
+                    want = rank(incidence_matrix(spec, k, i).reduce_mod(p))
+                    assert incidence_rank(spec, k, i, FieldSpec(p)) == want, (spec.describe(), p, k, i)
+                    branches.add(k - i <= spec.n - k)
+                    cases += 1
+        assert branches == ({True, False} if spec.n > 1 else {True})
+    assert cases == 1695
+
+
+def test_incidence_rank_edges():
+    # ranks outside 0..n give empty matrices
+    b5 = PosetSpec.boolean(5)
+    assert incidence_rank(b5, 6, 1, FieldSpec(3)) == 0
+    assert incidence_rank(b5, 2, 3, FieldSpec(3)) == 0
+    with pytest.raises(ValueError):
+        incidence_rank(b5, 2, 0, FieldSpec(3))
+    with pytest.raises(IncompatibleFieldError):
+        incidence_rank(PosetSpec.projective(3, 4), 2, 1, FieldSpec(2))
+    # the field is a FieldSpec, so a composite characteristic never arrives
+    for composite in (4, 6):
+        with pytest.raises(ValueError):
+            incidence_rank(b5, 2, 1, FieldSpec(composite))
 
 
 def test_incidence_against_containment_oracle():
