@@ -140,6 +140,40 @@ def _render_homology(report) -> str:
     return "\n".join(lines)
 
 
+def _chain_pis(n: int, q: int, order: int) -> list:
+    """The values pi(p, q) <= n of primes p not dividing q*|G|, ascending.
+
+    For q > 1, pi(p, q) <= n means p divides q^e - 1 for some e <= n, so the
+    candidates are the prime factors of those numbers; for q = 1, pi(p, 1) = p.
+    """
+    if q == 1:
+        candidates = range(2, n + 1)
+    else:
+        candidates = {int(p) for e in range(1, n + 1) for p in _factorize(q**e - 1)}
+    pis = {quantum_char(p, q) for p in candidates if is_prime(p) and (q * order) % p}
+    return sorted(pi for pi in pis if pi <= n)
+
+
+def _check_orbit_series(counts, spec, order):
+    """Gate an all-ranks orbit series on the paper's inequalities.
+
+    Orbit counts grow toward the middle rank (Livingstone-Wagner, Stanley),
+    and for every prime p not dividing q*|G| they satisfy the folded chain at
+    pi(p, q); for pi > n the chain degenerates to that monotonicity.
+    """
+    lw = inequal.check_lw(counts)
+    if not lw.passed:
+        raise InternalConsistencyError(
+            f"orbit series {counts} breaks Livingstone-Wagner monotonicity at (k, l) = {lw.violation}"
+        )
+    for pi in _chain_pis(spec.n, spec.q, order):
+        chain = inequal.check_chain(counts, pi)
+        if not chain.passed:
+            raise InternalConsistencyError(
+                f"orbit series {counts} breaks the folded chain at pi = {pi}, r = {chain.violation_r}"
+            )
+
+
 def cmd_orbits(args) -> dict:
     g = groupact.parse_group(_read_source(args.group), name=args.group)
     spec = poset.PosetSpec.parse(args.poset)
@@ -148,13 +182,19 @@ def cmd_orbits(args) -> dict:
               "method": args.method, "k": args.k}
     results = {"order": order}
     status = "pass"
-    ks = [args.k] if args.k is not None else list(range(spec.n + 1))
+    n = spec.n
+    ks = [args.k] if args.k is not None else list(range(n + 1))
     if args.method in ("uf", "both"):
-        counts = [
-            groupact.orbit_count_unionfind(g, spec, k, cap=args.max_rank_size) for k in ks
-        ]
         if args.k is None:
-            groupact.OrbitSeries(n=spec.n, values=tuple(counts))  # palindromicity gate
+            # N_k = N_{n-k}: complement commutes with a permutation action, and
+            # g fixes as many k-subspaces as (n-k)-subspaces because g and g^T
+            # are conjugate in GL(n, q); so only ranks 0..n//2 are counted
+            half = [groupact.orbit_count_unionfind(g, spec, k, cap=args.max_rank_size)
+                    for k in range(n // 2 + 1)]
+            counts = [half[min(k, n - k)] for k in ks]
+            _check_orbit_series(counts, spec, order)
+        else:
+            counts = [groupact.orbit_count_unionfind(g, spec, args.k, cap=args.max_rank_size)]
         results["unionfind"] = counts
     if args.method in ("burnside", "both"):
         series = groupact.burnside_counts(g, spec, cap=args.max_group_order)

@@ -68,12 +68,14 @@ def gauss_binom(n: int, k: int, q: int) -> int:
         raise ValueError(f"gauss_binom needs q >= 1, got {q}")
     if k < 0 or k > n:
         return 0
-    num = q_factorial(n, q)
-    den = q_factorial(k, q) * q_factorial(n - k, q)
-    quot, rem = divmod(num, den)
-    if rem:
-        raise InternalConsistencyError(f"gauss_binom({n},{k},{q}) not integral")
-    return quot
+    m = min(k, n - k)
+    # after step t, out = [n - m + t, t]_q, so every division is exact
+    out = 1
+    for t in range(1, m + 1):
+        out, rem = divmod(out * q_int(n - m + t, q), q_int(t, q))
+        if rem:
+            raise InternalConsistencyError(f"gauss_binom({n},{k},{q}) not integral")
+    return out
 
 
 def quantum_char(p: int, q: int) -> int:

@@ -1,6 +1,14 @@
 import json
 
-from inchom.cli import main
+from corpus import corpus
+from inchom import groupact, inequal
+from inchom.cli import _chain_pis, main
+from inchom.groupact import cycles_of, orbit_count_unionfind, parse_group
+from inchom.poset import PosetSpec
+from test_groupact import MATRIX_GROUPS
+
+# N_0..N_12 of M24 on the subsets of its 24 points
+M24_HALF = [1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 5]
 
 
 def run(capsys, *argv):
@@ -208,3 +216,113 @@ def test_error_report_keeps_inputs_and_type(capsys):
     assert doc["inputs"] == {"group": "data:c4.json", "poset": "boolean:5", "k": None,
                              "method": "uf", "max_rank_size": None, "max_group_order": None}
     assert doc["results"]["type"] == "DataError"
+
+
+def _orbit_cases(tmp_path):
+    """(group file, poset, group, spec) for the corpus groups and the matrix groups."""
+    docs = [
+        ({"kind": "permutation", "degree": deg,
+          "generators": [cycles_of(p) for p in g.generators]}, PosetSpec.boolean(deg))
+        for _, g, _, _, deg in corpus()
+    ] + [
+        ({"kind": "matrix", "n": n, "q": q, "generators": gens}, PosetSpec.projective(n, q))
+        for n, q, gens in MATRIX_GROUPS
+    ]
+    for i, (doc, spec) in enumerate(docs):
+        path = tmp_path / f"group{i}.json"
+        path.write_text(json.dumps(doc))
+        yield str(path), spec.describe(), parse_group(json.dumps(doc)), spec
+
+
+def test_orbits_mirror_matches_direct_counts(tmp_path, capsys):
+    for path, poset, g, spec in _orbit_cases(tmp_path):
+        direct = [orbit_count_unionfind(g, spec, k) for k in range(spec.n + 1)]
+        code, doc = run_json(capsys, "orbits", path, poset)
+        assert code == 0 and doc["results"]["unionfind"] == direct, poset
+        for j in range(spec.n + 1):
+            _, low = run_json(capsys, "orbits", path, poset, "-k", str(j))
+            _, high = run_json(capsys, "orbits", path, poset, "-k", str(spec.n - j))
+            assert low["results"]["unionfind"] == [direct[j]], (poset, j)
+            assert high["results"]["unionfind"] == [direct[spec.n - j]], (poset, j)
+
+
+def test_orbits_mirror_keeps_error_reports(tmp_path, capsys):
+    for k in ("-1", "5", "9"):
+        code, doc = run_json(capsys, "orbits", "data:c4.json", "boolean:4", "-k", k)
+        assert code == 2
+        assert doc["results"] == {"error": f"rank {k} of boolean:4 is empty", "type": "ValueError"}
+    over = {"type": "ResourceLimitError"}
+    code, doc = run_json(capsys, "orbits", "data:c4.json", "boolean:4", "-k", "3",
+                         "--max-rank-size", "3")
+    assert code == 2
+    assert doc["results"] == over | {"error": "rank 3 of boolean:4 has 4 elements, over the cap 3"}
+    assert doc["inputs"]["k"] == 3
+    code, doc = run_json(capsys, "orbits", "data:c4.json", "boolean:4", "--max-rank-size", "5")
+    assert code == 2
+    assert doc["results"] == over | {"error": "rank 2 of boolean:4 has 6 elements, over the cap 5"}
+    path = tmp_path / "gl.json"
+    path.write_text(json.dumps({"kind": "matrix", "n": 3, "q": 2,
+                                "generators": MATRIX_GROUPS[0][2]}))
+    code, doc = run_json(capsys, "orbits", str(path), "projective:3,2", "-k", "2",
+                         "--max-rank-size", "6")
+    assert code == 2
+    assert doc["results"] == over | {"error": "rank 2 of projective:3,2 has 7 elements, over the cap 6"}
+
+
+def test_orbits_count_only_the_lower_half(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = groupact.orbit_count_unionfind
+
+    def recording(g, spec, k, cap=None):
+        calls.append(k)
+        return real(g, spec, k, cap=cap)
+
+    monkeypatch.setattr(groupact, "orbit_count_unionfind", recording)
+    for path, poset, _, spec in _orbit_cases(tmp_path):
+        calls.clear()
+        code, _ = run_json(capsys, "orbits", path, poset)
+        assert code == 0 and calls == list(range(spec.n // 2 + 1)), poset
+    calls.clear()
+    # a single rank is counted as asked: k and n - k cost the same
+    code, doc = run_json(capsys, "orbits", "data:d10.json", "boolean:10", "-k", "7")
+    assert code == 0 and calls == [7]
+
+
+def _fake_counts(monkeypatch, half):
+    monkeypatch.setattr(groupact, "orbit_count_unionfind",
+                        lambda g, spec, k, cap=None: half[k])
+
+
+def test_chain_gate_pis():
+    # q = 1: pi(p, 1) = p for the primes p <= 24 not dividing |M24|
+    assert _chain_pis(24, 1, 244823040) == [13, 17, 19]
+    # q = 3, n = 4: 3^e - 1 = 2, 8, 26, 80 have the prime factors 2, 13, 5;
+    # pi(13, 3) = 3 and pi(5, 3) = 4, and |G| = 2 rules out p = 2
+    assert _chain_pis(4, 3, 2) == [3, 4]
+    # q = 4, n = 2: 4^2 - 1 = 15, but pi(3, 4) = 3 > 2 and pi(5, 4) = 2
+    assert _chain_pis(2, 4, 1) == [2]
+
+
+def test_chain_gate_checks_only_primes_prime_to_the_order(monkeypatch, capsys):
+    _fake_counts(monkeypatch, M24_HALF)
+    seen = []
+    real = inequal.check_chain
+    monkeypatch.setattr(inequal, "check_chain", lambda c, pi: seen.append(pi) or real(c, pi))
+    code, doc = run_json(capsys, "orbits", "data:m24.json", "boolean:24")
+    assert code == 0 and doc["results"]["unionfind"] == M24_HALF + M24_HALF[-2::-1]
+    # the real series breaks the chain at pi = 23, which divides |M24|
+    assert not real(doc["results"]["unionfind"], 23).passed
+    assert seen == [13, 17, 19]
+
+
+def test_chain_gate_rejects_broken_series(monkeypatch, capsys):
+    # N_11 = N_12 keeps monotonicity, but at pi = 13 the chain needs N_12 >= N_11 + N_24
+    _fake_counts(monkeypatch, M24_HALF[:12] + [3])
+    code, doc = run_json(capsys, "orbits", "data:m24.json", "boolean:24")
+    assert code == 2 and doc["results"]["type"] == "InternalConsistencyError"
+    assert "folded chain at pi = 13" in doc["results"]["error"]
+    # N_11 > N_12 breaks Livingstone-Wagner
+    _fake_counts(monkeypatch, M24_HALF[:11] + [6, 5])
+    code, doc = run_json(capsys, "orbits", "data:m24.json", "boolean:24")
+    assert code == 2 and doc["results"]["type"] == "InternalConsistencyError"
+    assert "Livingstone-Wagner" in doc["results"]["error"]

@@ -245,14 +245,17 @@ def test_image_outside_rank_set_is_caught(bad):
         orbit_count_unionfind(g, PosetSpec.boolean(3), 2)
 
 
+# (n, q, generators) of small matrix groups acting on projective:n,q
+MATRIX_GROUPS = [
+    (3, 2, [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]]),
+    (3, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+    (4, 2, [[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]]),
+    (2, 4, [[[2, 0], [0, 1]], [[1, 1], [0, 1]]]),
+]
+
+
 def test_unionfind_matrix_groups_match_brute_force():
-    groups = [
-        (3, 2, [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]]),
-        (3, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]]),
-        (4, 2, [[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]]),
-        (2, 4, [[[2, 0], [0, 1]], [[1, 1], [0, 1]]]),
-    ]
-    for n, q, gens in groups:
+    for n, q, gens in MATRIX_GROUPS:
         g = parse_group(json.dumps({"kind": "matrix", "n": n, "q": q, "generators": gens}))
         spec = PosetSpec.projective(n, q)
         for k in range(n + 1):

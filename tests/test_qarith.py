@@ -52,6 +52,19 @@ def test_gauss_binom_examples():
     assert gauss_binom(4, 5, 2) == 0
 
 
+def test_gauss_binom_matches_factorial_quotient():
+    for q in (1, 2, 3, 4, 5, 7, 8, 9):
+        for n in range(41):
+            for k in range(-1, n + 2):
+                if 0 <= k <= n:
+                    den = q_factorial(k, q) * q_factorial(n - k, q)
+                    want, rem = divmod(q_factorial(n, q), den)
+                    assert rem == 0
+                else:
+                    want = 0
+                assert gauss_binom(n, k, q) == want, (n, k, q)
+
+
 def test_gauss_binom_matches_subspace_enumeration():
     # brute-force oracle: count 2-dimensional subspaces of GF(2)^4 by span sets
     vectors = [tuple((v >> i) & 1 for i in range(4)) for v in range(1, 16)]
