@@ -4,7 +4,8 @@ Symmetric-group tables are generated exactly with the Murnaghan-Nakayama
 rule (via beta-sets); tables of other groups are ingested from JSON and
 validated against the orthogonality relations.  Multiplicities are computed
 over the complex numbers, which match the characteristic-p values whenever
-p does not divide the group order.
+p does not divide the group order.  Permutation characters of k-subset
+actions come from `fix_count_subsets`, which Burnside counting shares.
 """
 
 import json
@@ -14,7 +15,6 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DataError, InternalConsistencyError
-from .groupact import fix_count_subsets
 
 FLOAT_TOL = 1e-8
 MULT_TOL = 1e-6
@@ -301,6 +301,26 @@ def dump_table(t: CharacterTable) -> str:
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def fix_count_subsets(ct, k: int) -> int:
+    """Number of k-subsets fixed by a permutation of cycle type ct.
+
+    Coefficient of t^k in the product of (1 + t^c) over the cycle lengths c.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    n = sum(ct)
+    if k > n:
+        return 0
+    coeffs = [0] * (n + 1)
+    coeffs[0] = 1
+    total = 0
+    for c in ct:
+        total += c
+        for d in range(min(total, n), c - 1, -1):
+            coeffs[d] += coeffs[d - c]
+    return coeffs[k]
 
 
 def perm_character(t: CharacterTable, n: int, k: int) -> tuple:

@@ -11,7 +11,7 @@ import sys
 import time
 from importlib import resources
 
-from . import chartab, groupact, homology, inequal, poset
+from . import chartab, homology, inequal, poset
 from .errors import DataError, IncompatibleFieldError, InternalConsistencyError, ResourceLimitError
 from .qarith import FieldSpec, is_prime, quantum_char
 
@@ -175,6 +175,8 @@ def _check_orbit_series(counts, spec, order):
 
 
 def cmd_orbits(args) -> dict:
+    from . import groupact  # deferred: groupact loads numpy
+
     g = groupact.parse_group(_read_source(args.group), name=args.group)
     spec = poset.PosetSpec.parse(args.poset)
     order = groupact.group_order(g, args.max_group_order)
@@ -324,6 +326,8 @@ def _render_chain(report) -> str:
 
 
 def cmd_order(args) -> dict:
+    from . import groupact  # deferred: groupact loads numpy
+
     g = groupact.parse_group(_read_source(args.group), name=args.group)
     order = groupact.group_order(g, args.max_group_order)
     return {

@@ -1,9 +1,10 @@
 """Permutation and matrix groups acting on rank sets.
 
 Covers group parsing, exact order computation (Schreier-Sims for permutation
-groups, closure for matrix groups), cycle types, fixed-subset counts, Burnside
-orbit counting over all elements, and generator-closure orbit counting on a
-single rank set.
+groups, closure for matrix groups), cycle types, Burnside orbit counting over
+all elements, and generator-closure orbit counting on a single rank set.  The
+orbit counter works on numpy arrays, so this is the one module of the command
+line that loads numpy; `cli` imports it only for `orbits` and `order`.
 """
 
 import json
@@ -14,8 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf, poset
+from .chartab import fix_count_subsets
 from .errors import DataError, InternalConsistencyError, ResourceLimitError
-from .poset import PosetSpec, _bool_mask_array, rank_size
+from .poset import PosetSpec
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -321,26 +323,6 @@ def cycle_type(perm) -> tuple:
     return tuple(sorted(lengths, reverse=True))
 
 
-def fix_count_subsets(ct, k: int) -> int:
-    """Number of k-subsets fixed by a permutation of cycle type ct.
-
-    Coefficient of t^k in the product of (1 + t^c) over the cycle lengths c.
-    """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    n = sum(ct)
-    if k > n:
-        return 0
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    total = 0
-    for c in ct:
-        total += c
-        for d in range(min(total, n), c - 1, -1):
-            coeffs[d] += coeffs[d - c]
-    return coeffs[k]
-
-
 def _perm_closure(gens, n, cap):
     ident = _identity(n)
     elements = {ident: None}
@@ -420,6 +402,30 @@ def burnside_counts(g: Group, spec: PosetSpec, cap: int | None = None) -> OrbitS
             )
         values.append(quot)
     return OrbitSeries(n=n, values=tuple(values))
+
+
+@lru_cache(maxsize=1)
+def _bool_mask_array(n: int, k: int) -> np.ndarray:
+    """All n-bit masks of weight k, ascending, as uint64."""
+    if n > 63:
+        raise ResourceLimitError(f"boolean enumeration is limited to n <= 63, got n = {n}")
+    if k < 0 or k > n:
+        return np.zeros(0, dtype=np.uint64)
+    # row-by-row merge; only the anti-diagonal band feeding (n, k) is kept
+    row = {0: np.array([0], dtype=np.uint64)}
+    for m in range(1, n + 1):
+        lo = max(0, k - (n - m))
+        hi = min(k, m)
+        new = {}
+        for j in range(lo, hi + 1):
+            parts = []
+            if j in row:
+                parts.append(row[j])
+            if j - 1 in row:
+                parts.append(row[j - 1] | np.uint64(1 << (m - 1)))
+            new[j] = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        row = new
+    return row[k]
 
 
 # masks per block of the boolean image stage; bounds the temporaries, not the result
@@ -532,12 +538,7 @@ def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = N
     orbits of the maps.
     """
     _check_action(g, spec)
-    size = rank_size(spec, k)
-    limit = poset.DEFAULT_RANK_CAP if cap is None else cap
-    if size > limit:
-        raise ResourceLimitError(
-            f"rank {k} of {spec.describe()} has {size} elements, over the cap {limit}"
-        )
+    size = poset._check_cap(spec, k, cap)
     if size == 0:
         raise ValueError(f"rank {k} of {spec.describe()} is empty")
 

@@ -9,13 +9,14 @@ flattened rref entries — so every emitted matrix is reproducible.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gf
 from .errors import IncompatibleFieldError, ResourceLimitError
-from .gfpla import SparseMat
 from .qarith import FieldSpec, gauss_binom, q_int
+
+if TYPE_CHECKING:
+    from .gfpla import SparseMat
 
 DEFAULT_RANK_CAP = 5_000_000
 
@@ -87,30 +88,6 @@ def _check_cap(spec: PosetSpec, k: int, cap) -> int:
     return size
 
 
-@lru_cache(maxsize=1)
-def _bool_mask_array(n: int, k: int) -> np.ndarray:
-    """All n-bit masks of weight k, ascending, as uint64."""
-    if n > 63:
-        raise ResourceLimitError(f"boolean enumeration is limited to n <= 63, got n = {n}")
-    if k < 0 or k > n:
-        return np.zeros(0, dtype=np.uint64)
-    # row-by-row merge; only the anti-diagonal band feeding (n, k) is kept
-    row = {0: np.array([0], dtype=np.uint64)}
-    for m in range(1, n + 1):
-        lo = max(0, k - (n - m))
-        hi = min(k, m)
-        new = {}
-        for j in range(lo, hi + 1):
-            parts = []
-            if j in row:
-                parts.append(row[j])
-            if j - 1 in row:
-                parts.append(row[j - 1] | np.uint64(1 << (m - 1)))
-            new[j] = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        row = new
-    return row[k]
-
-
 @lru_cache(maxsize=64)
 def _rref_profiles(k: int, n: int, q: int) -> tuple:
     """All rank-k reduced row echelon k x n matrices over GF(q), sorted."""
@@ -154,6 +131,8 @@ def enumerate_rank(spec: PosetSpec, k: int, cap: int | None = None) -> list:
         return []
     _check_cap(spec, k, cap)
     if spec.kind == "boolean":
+        from .groupact import _bool_mask_array  # deferred: groupact loads numpy
+
         return [int(m) for m in _bool_mask_array(spec.n, k)]
     return list(_proj_elements(spec, k))
 
@@ -216,28 +195,23 @@ def _dot_row(crow, x, c, F):
 
 
 @lru_cache(maxsize=64)
-def _incidence_cached(spec: PosetSpec, k: int, i: int) -> SparseMat:
+def _incidence_cached(spec: PosetSpec, k: int, i: int) -> "SparseMat":
+    from .gfpla import SparseMat  # deferred: gfpla loads numpy
+
     nrows = rank_size(spec, k - i)
     ncols = rank_size(spec, k)
     if k < 0 or k > spec.n or k - i < 0:
         return SparseMat.zero(nrows, ncols, 0)
-    entries = {}
-    if spec.kind == "boolean":
-        masks = _bool_mask_array(spec.n, k)
-        sub_masks = _bool_mask_array(spec.n, k - i)
-        for col, x in enumerate(int(m) for m in masks):
-            subs = np.fromiter(_subobjects(spec, x, i), dtype=np.uint64)
-            for row in np.searchsorted(sub_masks, subs):
-                entries[(int(row), col)] = 1
-    else:
-        index = _proj_index(spec, k - i)
-        for col, x in enumerate(_proj_elements(spec, k)):
-            for y in _subobjects(spec, x, i):
-                entries[(index[y], col)] = 1
+    index = {y: row for row, y in enumerate(enumerate_rank(spec, k - i))}
+    entries = {
+        (index[y], col): 1
+        for col, x in enumerate(enumerate_rank(spec, k))
+        for y in _subobjects(spec, x, i)
+    }
     return SparseMat(nrows, ncols, entries, 0)
 
 
-def incidence_matrix(spec: PosetSpec, k: int, i: int) -> SparseMat:
+def incidence_matrix(spec: PosetSpec, k: int, i: int) -> "SparseMat":
     """0/1 integer matrix with entry (y, x) = 1 iff y <= x and rk x - rk y = i.
 
     Raises ResourceLimitError when rank k or rank k - i has more than
@@ -281,7 +255,7 @@ def incidence_rank(spec: PosetSpec, k: int, i: int, field: FieldSpec) -> int:
     )
 
 
-def boundary_matrix(spec: PosetSpec, k: int, field: FieldSpec) -> SparseMat:
+def boundary_matrix(spec: PosetSpec, k: int, field: FieldSpec) -> "SparseMat":
     """Matrix over GF(p) of the incidence map from rank k to rank k - 1.
 
     Each column carries one 1 per corank-1 subobject: k ones in the boolean

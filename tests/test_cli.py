@@ -1,5 +1,13 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import inchom
 from corpus import corpus
 from inchom import groupact, inequal
 from inchom.cli import _chain_pis, main
@@ -326,3 +334,68 @@ def test_chain_gate_rejects_broken_series(monkeypatch, capsys):
     code, doc = run_json(capsys, "orbits", "data:m24.json", "boolean:24")
     assert code == 2 and doc["results"]["type"] == "InternalConsistencyError"
     assert "Livingstone-Wagner" in doc["results"]["error"]
+
+
+def _fresh_python(code, *args):
+    """JSON printed last by code run in a new interpreter that imports this inchom."""
+    env = dict(os.environ, PYTHONPATH=str(Path(inchom.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_CALLS_THEN_NUMPY = """
+import contextlib, io, json, sys
+from inchom.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv + ["--json"]) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_only_orbit_counting_loads_numpy():
+    calls = [
+        ["pitable", "--pmax", "7"],
+        ["homology", "boolean:6", "-p", "3"],
+        ["homology", "boolean:4", "-p", "3", "-j", "2", "-i", "1"],
+        ["mult", "sn:8", "boolean:8", "-p", "3", "--irreducible", "7,1"],
+        ["bounds", "-n", "10", "--pis", "9,8,7"],
+        ["chain", "--series", "1,1,2,1,1", "--pi", "3"],
+    ]
+    got = _fresh_python(_CALLS_THEN_NUMPY, json.dumps(calls))
+    assert got == {"codes": [0] * len(calls), "numpy": False}
+    got = _fresh_python(_CALLS_THEN_NUMPY, json.dumps([["orbits", "data:c4.json", "boolean:4"]]))
+    assert got == {"codes": [0], "numpy": True}
+
+
+# every name the package exported while it imported gfpla and groupact eagerly,
+# by the module that defines it
+PACKAGE_EXPORTS = {
+    "chartab": "CharacterTable Series fix_count_subsets load_table multiplicity_series "
+               "perm_character sn_table validate_table",
+    "errors": "DataError IncompatibleFieldError InternalConsistencyError ResourceLimitError",
+    "gfpla": "SparseMat matmul power_boundary rank",
+    "groupact": "Group OrbitSeries act burnside_counts cycle_type group_order "
+                "orbit_count_unionfind parse_group",
+    "homology": "homology_dim homology_scan sequence_layout trace_check vanishing_window",
+    "inequal": "check_chain check_lw check_palindrome deduce_bounds fold symbolic_chain",
+    "poset": "PosetSpec boundary_matrix enumerate_rank incidence_matrix incidence_rank rank_size",
+    "qarith": "FieldSpec gauss_binom q_factorial q_int quantum_char",
+}
+
+
+def test_package_exports_load_on_first_use():
+    code = ("import json, sys, inchom; before = 'numpy' in sys.modules; "
+            "same = inchom.gfpla.rank is inchom.rank; "
+            "print(json.dumps([before, same, 'numpy' in sys.modules]))")
+    assert _fresh_python(code) == [False, True, True]
+    for module, names in PACKAGE_EXPORTS.items():
+        defining = importlib.import_module(f"inchom.{module}")
+        for name in names.split():
+            scope = {}
+            exec(f"from inchom import {name}", scope)
+            assert scope[name] is getattr(defining, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        inchom.no_such_name
+    with pytest.raises(ImportError):
+        exec("from inchom import no_such_name", {})

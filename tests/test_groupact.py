@@ -7,22 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import closure, corpus, pmul
+from inchom.chartab import fix_count_subsets
 from inchom.cli import data_text
 from inchom.errors import DataError, InternalConsistencyError, ResourceLimitError
 from inchom.groupact import (
     Group,
+    _bool_mask_array,
     _boolean_index_map,
     act,
     burnside_counts,
     cycle_type,
     cycles_of,
-    fix_count_subsets,
     group_order,
     orbit_count_unionfind,
     parse_cycles,
     parse_group,
 )
-from inchom.poset import PosetSpec, _bool_mask_array, enumerate_rank
+from inchom.poset import PosetSpec, enumerate_rank
 
 
 def test_parse_cycles():
