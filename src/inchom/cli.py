@@ -90,14 +90,15 @@ def _render_pitable(report) -> str:
 def cmd_homology(args) -> dict:
     spec = poset.PosetSpec.parse(args.poset)
     field = FieldSpec(args.p)
-    pi = quantum_char(field.p, spec.q)
+    table = homology.HomologyTable(spec, field)
+    pi = table.pi
     inputs = {"poset": spec.describe(), "p": field.p}
     if (args.j is None) != (args.i is None):
         raise DataError("give both -j and -i, or neither")
     if args.j is not None:
         inputs |= {"j": args.j, "i": args.i}
-        tc = homology.trace_check(spec, field, args.j, args.i, cap=args.max_rank_size)
-        dim = homology.homology_dim(spec, field, args.j, args.i, cap=args.max_rank_size)
+        tc = table.trace(args.j, args.i)
+        dim = table.dim(args.j, args.i)
         window = homology.vanishing_window(spec.n, pi, args.j, args.i)
         results = {
             "pi": pi,
@@ -113,7 +114,7 @@ def cmd_homology(args) -> dict:
         }
         status = "pass" if tc.passed and (window or dim == 0) else "fail"
     else:
-        report = homology.homology_scan(spec, field, cap=args.max_rank_size)
+        report = table.scan()
         results = report.to_dict()
         status = "pass" if report.passed else "fail"
     return {"command": "homology", "inputs": inputs, "results": results, "status": status}
@@ -381,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=int, required=True, help="field characteristic")
     p.add_argument("-j", type=int, default=None)
     p.add_argument("-i", type=int, default=None)
-    p.add_argument("--max-rank-size", type=int, default=None)
     add_json(p)
     p.set_defaults(func=cmd_homology)
 

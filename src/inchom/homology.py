@@ -4,14 +4,21 @@ For 0 < i < pi the modules at indices {j + t*pi} and {j - i + t*pi} form a
 two-step periodic sequence whose consecutive maps compose to zero.  This
 module lays out such sequences (initial arrow, position), computes homology
 dimensions from closed-form p-ranks of incidence matrices, and checks the
-dimension-level trace identity against folded rank-size sums.
+dimension-level trace identity against folded rank-size sums.  Every query
+goes through a HomologyTable, which holds what is fixed for one (poset,
+field): pi, the rank sizes, their folded sums and the incidence ranks.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import InternalConsistencyError
-from .poset import PosetSpec, _check_cap, incidence_rank, rank_size
-from .qarith import FieldSpec, quantum_char
+from .errors import InternalConsistencyError, ResourceLimitError
+from .poset import PosetSpec, _incidence_rank
+from .qarith import FieldSpec, gauss_row, quantum_char
+
+# a scan reports (n + 1)(pi - 1) records; above this many it fails before
+# starting (boolean:6 at p = 10007 is 70,042 records and 11 MB of JSON)
+MAX_SCAN_RECORDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -31,18 +38,36 @@ class SequenceLayout:
     indices: tuple
 
 
-def _index_window(j: int, i: int, pi: int):
-    """Sorted sequence indices in a window wide enough to contain the initial arrow and j."""
+def _index_window(j: int, i: int, pi: int) -> list:
+    """Sorted sequence indices in a window wide enough to contain the initial arrow and j.
+
+    Since 0 < i < pi, j - i + t*pi lies strictly between j + (t-1)*pi and
+    j + t*pi, so appending the two classes in turn keeps the list sorted and
+    free of repeats.
+    """
     lo = min(j, -2 * pi) - 2 * pi
     hi = max(j, 2 * pi) + 2 * pi
-    idx = set()
-    t = (lo - j) // pi
-    while j + t * pi <= hi:
-        for v in (j + t * pi, j - i + t * pi):
-            if lo <= v <= hi:
-                idx.add(v)
-        t += 1
-    return sorted(idx)
+    idx = []
+    for v in range(j + (lo - j) // pi * pi, hi + 1, pi):
+        if v - i >= lo:
+            idx.append(v - i)
+        if v >= lo:
+            idx.append(v)
+    return idx
+
+
+def _initial_arrow(j: int, i: int, pi: int) -> tuple:
+    """(window, a, b, d): the sequence's index window, its initial arrow (a, b) and j's distance d."""
+    idx = _index_window(j, i, pi)
+    initial = [(x, y) for x, y in zip(idx, idx[1:]) if 0 <= x + y < pi]
+    if len(initial) != 1:
+        raise InternalConsistencyError(
+            f"expected one initial arrow for (j={j}, i={i}, pi={pi}), found {initial}"
+        )
+    a, b = initial[0]
+    if b - a not in (i, pi - i):
+        raise InternalConsistencyError(f"initial arrow {initial[0]} has bad gap")
+    return idx, a, b, abs(idx.index(j) - idx.index(b))
 
 
 def sequence_layout(j: int, i: int, pi: int, n: int) -> SequenceLayout:
@@ -54,20 +79,7 @@ def sequence_layout(j: int, i: int, pi: int, n: int) -> SequenceLayout:
     """
     if not (0 < i < pi):
         raise ValueError(f"need 0 < i < pi, got i={i}, pi={pi}")
-    idx = _index_window(j, i, pi)
-    initial = [
-        (idx[t], idx[t + 1])
-        for t in range(len(idx) - 1)
-        if 0 <= idx[t] + idx[t + 1] < pi
-    ]
-    if len(initial) != 1:
-        raise InternalConsistencyError(
-            f"expected one initial arrow for (j={j}, i={i}, pi={pi}), found {initial}"
-        )
-    a, b = initial[0]
-    if b - a not in (i, pi - i):
-        raise InternalConsistencyError(f"initial arrow {initial[0]} has bad gap")
-    d = abs(idx.index(j) - idx.index(b))
+    idx, a, b, d = _initial_arrow(j, i, pi)
     lo, hi = min(j, a, -pi), max(j, b, n + pi)
     display = tuple(v for v in idx if lo <= v <= hi)
     return SequenceLayout(j=j, i=i, pi=pi, n=n, arrow=(a, b), d=d, indices=display)
@@ -78,57 +90,6 @@ def vanishing_window(n: int, pi: int, j: int, i: int) -> bool:
     if not (0 < i < pi):
         raise ValueError(f"need 0 < i < pi, got i={i}, pi={pi}")
     return n - pi < 2 * j - i < n
-
-
-def homology_dim(spec: PosetSpec, field: FieldSpec, j: int, i: int, cap: int | None = None) -> int:
-    """dim of (kernel of the i-fold boundary on rank j) / (image of the (pi-i)-fold boundary).
-
-    The ranks of both boundary powers come in closed form from
-    poset.incidence_rank, so no matrix is built and cap None sets no
-    ceiling.  A given cap raises ResourceLimitError when rank j or a rank the
-    two boundary powers read has more than cap elements.
-    """
-    return _homology_dim(spec, field, quantum_char(field.p, spec.q), j, i, cap)
-
-
-def _homology_dim(spec: PosetSpec, field: FieldSpec, pi: int, j: int, i: int, cap) -> int:
-    if not (0 < i < pi):
-        raise ValueError(f"need 0 < i < pi = {pi}, got i={i}")
-    if not (0 <= j <= spec.n):
-        raise ValueError(f"need 0 <= j <= {spec.n}, got j={j}")
-    if cap is not None:
-        # the powers read ranks j - i..j and j..j + pi - i when those lie in
-        # 0..n; rank sizes are unimodal and symmetric about n/2, so the
-        # largest rank read is the one of that range nearest n/2
-        lo = j - i if j >= i else j
-        hi = j + pi - i if j + pi - i <= spec.n else j
-        _check_cap(spec, min(max(spec.n // 2, lo), hi), cap)
-    # for 0 < i < pi the i-fold boundary from rank k is (i!)_q times the
-    # incidence matrix W_{k-i,k}, and (i!)_q is a unit mod p, so both have
-    # the same rank
-    kernel = rank_size(spec, j) - incidence_rank(spec, j, i, field)
-    image = incidence_rank(spec, j + pi - i, pi - i, field)
-    dim = kernel - image
-    if dim < 0:
-        raise InternalConsistencyError(
-            f"image exceeds kernel at (j={j}, i={i}) over GF({field.p}): "
-            f"{image} > {kernel}"
-        )
-    return dim
-
-
-def _folded_rank_sum(spec: PosetSpec, k: int, pi: int) -> int:
-    total = 0
-    for v in range(k % pi, spec.n + 1, pi):
-        total += rank_size(spec, v)
-    return total
-
-
-def _dim_any(spec: PosetSpec, field: FieldSpec, pi: int, j: int, i: int, cap) -> int:
-    """Homology dimension with ranks outside 0..n treated as the zero module."""
-    if j < 0 or j > spec.n:
-        return 0
-    return _homology_dim(spec, field, pi, j, i, cap)
 
 
 def distinguished_slot(n: int, pi: int, j: int, i: int) -> tuple | None:
@@ -158,36 +119,9 @@ class TraceCheck:
     layout: SequenceLayout
 
 
-def trace_check(spec: PosetSpec, field: FieldSpec, j: int, i: int,
-                cap: int | None = None) -> TraceCheck:
-    """Check the trace identity of the almost-exact sequence through (j, i).
+class ScanRecord(NamedTuple):
+    """One (j, i) of a scan; a named tuple, because a scan makes one per record."""
 
-    The sequence has at most one homology slot inside the window; lhs is the
-    dimension there (or at (j, i) itself when the sequence is exact), and rhs
-    is (-1)^d ([size_b] - [size_a]) folded mod pi, with the arrow (a, b) and
-    the position d taken at that slot.  cap is passed to homology_dim.
-    """
-    return _trace_check(spec, field, quantum_char(field.p, spec.q), j, i, cap)
-
-
-def _trace_check(spec: PosetSpec, field: FieldSpec, pi: int, j: int, i: int, cap) -> TraceCheck:
-    if not (0 < i < pi):
-        raise ValueError(f"need 0 < i < pi = {pi}, got i={i}")
-    slot = distinguished_slot(spec.n, pi, j, i)
-    if slot is None:
-        slot = (j, i)
-    js, is_ = slot
-    lhs = _dim_any(spec, field, pi, js, is_, cap)
-    layout = sequence_layout(js, is_, pi, spec.n)
-    a, b = layout.arrow
-    rhs = (-1) ** layout.d * (
-        _folded_rank_sum(spec, b, pi) - _folded_rank_sum(spec, a, pi)
-    )
-    return TraceCheck(j=j, i=i, slot=slot, lhs=lhs, rhs=rhs, passed=lhs == rhs, layout=layout)
-
-
-@dataclass(frozen=True)
-class ScanRecord:
     j: int
     i: int
     dim: int
@@ -211,51 +145,136 @@ class HomologyReport:
             "p": self.p,
             "pi": self.pi,
             "passed": self.passed,
-            "records": [
-                {
-                    "j": r.j,
-                    "i": r.i,
-                    "dim": r.dim,
-                    "in_window": r.in_window,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "passed": r.passed,
-                }
-                for r in self.records
-            ],
+            "records": [r._asdict() for r in self.records],
         }
 
 
-def homology_scan(spec: PosetSpec, field: FieldSpec, cap: int | None = None) -> HomologyReport:
+class HomologyTable:
+    """What every homology query over one (poset, field) reads, built once.
+
+    It holds pi = pi(p, q), the rank sizes [n, s]_q for s = 0..n, the folded
+    rank sums per residue mod pi, and the incidence ranks and dimensions
+    memoised as they are first asked for.
+    """
+
+    def __init__(self, spec: PosetSpec, field: FieldSpec):
+        self.spec, self.field = spec, field
+        self.pi = pi = quantum_char(field.p, spec.q)
+        self.sizes = gauss_row(spec.n, spec.q)
+        self.folded = {}
+        for v, size in enumerate(self.sizes):
+            self.folded[v % pi] = self.folded.get(v % pi, 0) + size
+        self._ranks = {}
+        self._dims = {}
+
+    def _rank(self, k: int, t: int) -> int:
+        """rank_p of the incidence matrix W_{t,k}, memoised inside 0 <= t <= k <= n."""
+        if k > self.spec.n or t < 0:
+            return 0
+        rank = self._ranks.get((k, t))
+        if rank is None:
+            rank = self._ranks[k, t] = _incidence_rank(self.sizes, self.field.p, self.pi, k, t)
+        return rank
+
+    def dim(self, j: int, i: int) -> int:
+        """homology_dim at (j, i)."""
+        dim = self._dims.get((j, i))
+        if dim is not None:
+            return dim
+        pi, n = self.pi, self.spec.n
+        if not (0 < i < pi):
+            raise ValueError(f"need 0 < i < pi = {pi}, got i={i}")
+        if not (0 <= j <= n):
+            raise ValueError(f"need 0 <= j <= {n}, got j={j}")
+        # for 0 < i < pi the i-fold boundary from rank k is (i!)_q times the
+        # incidence matrix W_{k-i,k}, and (i!)_q is a unit mod p, so both have
+        # the same rank
+        kernel = self.sizes[j] - self._rank(j, j - i)
+        image = self._rank(j + pi - i, j)
+        dim = kernel - image
+        if dim < 0:
+            raise InternalConsistencyError(
+                f"image exceeds kernel at (j={j}, i={i}) over GF({self.field.p}): "
+                f"{image} > {kernel}"
+            )
+        self._dims[j, i] = dim
+        return dim
+
+    def _trace_values(self, j: int, i: int) -> tuple:
+        """(slot, lhs, rhs) of the trace identity through (j, i), for 0 < i < pi."""
+        pi, n = self.pi, self.spec.n
+        slot = distinguished_slot(n, pi, j, i) or (j, i)
+        js, is_ = slot
+        # ranks outside 0..n are the zero module
+        lhs = self.dim(js, is_) if 0 <= js <= n else 0
+        _, a, b, d = _initial_arrow(js, is_, pi)
+        rhs = (-1) ** d * (self.folded.get(b % pi, 0) - self.folded.get(a % pi, 0))
+        return slot, lhs, rhs
+
+    def trace(self, j: int, i: int) -> TraceCheck:
+        """trace_check at (j, i)."""
+        pi = self.pi
+        if not (0 < i < pi):
+            raise ValueError(f"need 0 < i < pi = {pi}, got i={i}")
+        slot, lhs, rhs = self._trace_values(j, i)
+        layout = sequence_layout(*slot, pi, self.spec.n)
+        return TraceCheck(j=j, i=i, slot=slot, lhs=lhs, rhs=rhs, passed=lhs == rhs, layout=layout)
+
+    def scan(self) -> HomologyReport:
+        """homology_scan of the table's poset and field."""
+        spec, pi = self.spec, self.pi
+        n = spec.n
+        count = (n + 1) * (pi - 1)
+        if count > MAX_SCAN_RECORDS:
+            raise ResourceLimitError(
+                f"a scan of {spec.describe()} over GF({self.field.p}) has {count} records, "
+                f"over the bound {MAX_SCAN_RECORDS}"
+            )
+        records = []
+        ok = True
+        for i in range(1, pi):
+            for j in range(0, n + 1):
+                window = vanishing_window(n, pi, j, i)
+                dim = self.dim(j, i)
+                _, lhs, rhs = self._trace_values(j, i)
+                if rhs < 0:
+                    raise InternalConsistencyError(
+                        f"negative signed trace value {rhs} at (j={j}, i={i})"
+                    )
+                passed = lhs == rhs and (window or dim == 0)
+                ok = ok and passed
+                records.append(ScanRecord(j, i, dim, window, lhs, rhs, passed))
+        return HomologyReport(
+            poset=spec.describe(), p=self.field.p, pi=pi, records=tuple(records), passed=ok
+        )
+
+
+def homology_dim(spec: PosetSpec, field: FieldSpec, j: int, i: int) -> int:
+    """dim of (kernel of the i-fold boundary on rank j) / (image of the (pi-i)-fold boundary).
+
+    The ranks of both boundary powers come in closed form from the incidence
+    ranks of poset.incidence_rank, so no matrix is built.
+    """
+    return HomologyTable(spec, field).dim(j, i)
+
+
+def trace_check(spec: PosetSpec, field: FieldSpec, j: int, i: int) -> TraceCheck:
+    """Check the trace identity of the almost-exact sequence through (j, i).
+
+    The sequence has at most one homology slot inside the window; lhs is the
+    dimension there (or at (j, i) itself when the sequence is exact), and rhs
+    is (-1)^d ([size_b] - [size_a]) folded mod pi, with the arrow (a, b) and
+    the position d taken at that slot.
+    """
+    return HomologyTable(spec, field).trace(j, i)
+
+
+def homology_scan(spec: PosetSpec, field: FieldSpec) -> HomologyReport:
     """Check every (j, i) with 0 <= j <= n, 0 < i < pi.
 
     A record passes when the trace identity holds and the dimension vanishes
     outside the window.  A negative signed rhs would mean the position
-    convention broke, and aborts the scan.  cap is passed to homology_dim.
+    convention broke, and aborts the scan.  A scan of more than
+    MAX_SCAN_RECORDS records raises ResourceLimitError before it starts.
     """
-    pi = quantum_char(field.p, spec.q)
-    records = []
-    ok = True
-    for i in range(1, pi):
-        for j in range(0, spec.n + 1):
-            sizes = (rank_size(spec, j - i), rank_size(spec, j), rank_size(spec, j + pi - i))
-            if not any(sizes):
-                continue
-            window = vanishing_window(spec.n, pi, j, i)
-            dim = _homology_dim(spec, field, pi, j, i, cap)
-            tc = _trace_check(spec, field, pi, j, i, cap)
-            if tc.rhs < 0:
-                raise InternalConsistencyError(
-                    f"negative signed trace value {tc.rhs} at (j={j}, i={i})"
-                )
-            passed = tc.passed and (window or dim == 0)
-            ok = ok and passed
-            records.append(
-                ScanRecord(
-                    j=j, i=i, dim=dim, in_window=window,
-                    lhs=tc.lhs, rhs=tc.rhs, passed=passed,
-                )
-            )
-    return HomologyReport(
-        poset=spec.describe(), p=field.p, pi=pi, records=tuple(records), passed=ok
-    )
+    return HomologyTable(spec, field).scan()

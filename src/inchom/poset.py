@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from . import gf
 from .errors import IncompatibleFieldError, ResourceLimitError
-from .qarith import FieldSpec, gauss_binom, q_int
+from .qarith import FieldSpec, divides_gauss_binom, gauss_row, q_int, quantum_char
 
 if TYPE_CHECKING:
     from .gfpla import SparseMat
@@ -74,8 +74,10 @@ class PosetSpec:
 
 
 def rank_size(spec: PosetSpec, k: int) -> int:
-    """Number of rank-k elements; zero outside 0..n."""
-    return gauss_binom(spec.n, k, spec.q)
+    """Number of rank-k elements, [n, k]_q; zero outside 0..n."""
+    if k < 0 or k > spec.n:
+        return 0
+    return gauss_row(spec.n, spec.q)[k]
 
 
 def _check_cap(spec: PosetSpec, k: int, cap) -> int:
@@ -236,23 +238,31 @@ def incidence_rank(spec: PosetSpec, k: int, i: int, field: FieldSpec) -> int:
 
     For t > n - k, complements of subsets (orthogonal complements of
     subspaces) reverse inclusion, so the matrix is the transpose of the one
-    for (n - k, n - t), which satisfies the condition.
+    for (n - k, n - t), which satisfies the condition.  The terms come from
+    the cached row [n, s]_q, and divisibility from the q-Lucas theorem.
     """
     if i < 1:
         raise ValueError(f"incidence_rank needs i >= 1, got {i}")
-    n, q, p = spec.n, spec.q, field.p
+    q, p = spec.q, field.p
     if q % p == 0:
         raise IncompatibleFieldError(f"characteristic {p} divides q = {q} of {spec.describe()}")
-    t = k - i
+    return _incidence_rank(gauss_row(spec.n, q), p, quantum_char(p, q), k, k - i)
+
+
+def _incidence_rank(row: tuple, p: int, pi: int, k: int, t: int) -> int:
+    """incidence_rank of W_{t,k} from the row [n, s]_q (n = len(row) - 1) and pi = pi(p, q)."""
+    n = len(row) - 1
     if k > n or t < 0:
         return 0
     if t > n - k:
         t, k = n - k, n - t
-    return sum(
-        gauss_binom(n, s, q) - gauss_binom(n, s - 1, q)
-        for s in range(t + 1)
-        if gauss_binom(k - s, t - s, q) % p
-    )
+    rank = 0
+    below = 0
+    for s in range(t + 1):
+        if not divides_gauss_binom(p, pi, k - s, t - s):
+            rank += row[s] - below
+        below = row[s]
+    return rank
 
 
 def boundary_matrix(spec: PosetSpec, k: int, field: FieldSpec) -> "SparseMat":

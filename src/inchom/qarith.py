@@ -6,6 +6,7 @@ integers, factorials and binomial coefficients.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import IncompatibleFieldError, InternalConsistencyError
 
@@ -76,6 +77,42 @@ def gauss_binom(n: int, k: int, q: int) -> int:
         if rem:
             raise InternalConsistencyError(f"gauss_binom({n},{k},{q}) not integral")
     return out
+
+
+@lru_cache(maxsize=32)
+def gauss_row(n: int, q: int) -> tuple:
+    """The row ([n, 0]_q, ..., [n, n]_q), cached per (n, q).
+
+    Built with [n, s]_q = [n, s-1]_q * q_int(n - s + 1, q) / q_int(s, q), so
+    each entry costs one multiplication and one exact division.
+    """
+    if n < 0:
+        raise ValueError(f"gauss_row needs n >= 0, got {n}")
+    if q < 1:
+        raise ValueError(f"gauss_row needs q >= 1, got {q}")
+    row = [1]
+    for s in range(1, n + 1):
+        row.append(row[-1] * q_int(n - s + 1, q) // q_int(s, q))
+    return tuple(row)
+
+
+def divides_gauss_binom(p: int, pi: int, a: int, b: int) -> bool:
+    """True iff p divides [a, b]_q, for 0 <= b and pi = quantum_char(p, q).
+
+    By the q-Lucas theorem (Olive 1965; Sagan, Adv. Math. 95, 1992),
+    [a, b]_q = C(a // pi, b // pi) * [a % pi, b % pi]_q (mod p).  The second
+    factor is a unit iff b % pi <= a % pi, and Lucas's theorem says p does not
+    divide the first iff every base-p digit of b // pi is at most the
+    matching digit of a // pi.
+    """
+    if b % pi > a % pi:
+        return True
+    a, b = a // pi, b // pi
+    while b:
+        if b % p > a % p:
+            return True
+        a, b = a // p, b // p
+    return False
 
 
 def quantum_char(p: int, q: int) -> int:

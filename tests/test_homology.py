@@ -1,6 +1,12 @@
+import sys
+
 import pytest
 
+from inchom import qarith
+from inchom.errors import ResourceLimitError
 from inchom.homology import (
+    MAX_SCAN_RECORDS,
+    _index_window,
     distinguished_slot,
     homology_dim,
     homology_scan,
@@ -33,6 +39,27 @@ def test_sequence_layout_invariants():
                 assert j in lay.indices and a in lay.indices and b in lay.indices
                 gaps = {y - x for x, y in zip(lay.indices, lay.indices[1:])}
                 assert gaps <= {i, pi - i}
+
+
+def _index_window_by_set(j, i, pi):
+    """The window as a set of both index classes, sorted afterwards."""
+    lo = min(j, -2 * pi) - 2 * pi
+    hi = max(j, 2 * pi) + 2 * pi
+    idx = set()
+    t = (lo - j) // pi
+    while j + t * pi <= hi:
+        for v in (j + t * pi, j - i + t * pi):
+            if lo <= v <= hi:
+                idx.add(v)
+        t += 1
+    return sorted(idx)
+
+
+def test_index_window_matches_set_construction():
+    for pi in range(2, 40):
+        for i in range(1, pi):
+            for j in range(-3 * pi, 3 * pi):
+                assert _index_window(j, i, pi) == _index_window_by_set(j, i, pi), (j, i, pi)
 
 
 def test_sequence_layout_rejects_bad_i():
@@ -197,3 +224,52 @@ def test_scan_far_past_matrix_scale():
     rep = homology_scan(PosetSpec.boolean(40), FieldSpec(7))
     assert rep.passed and len(rep.records) == 41 * 6
     assert any(r.dim for r in rep.records)
+
+
+def test_scan_at_large_n():
+    rep = homology_scan(PosetSpec.boolean(200), FieldSpec(13))
+    assert rep.passed and len(rep.records) == 201 * 12
+    assert any(r.dim for r in rep.records)
+
+
+def test_scan_records_match_single_cells():
+    # each cell query builds its own table, so this also checks that the
+    # scan's shared memos change no record
+    cases = [(PosetSpec.boolean(n), p) for n in range(1, 11) for p in (2, 3, 5, 7, 13)]
+    cases += [(PosetSpec.projective(4, 2), p) for p in (3, 5, 7)]
+    cases += [(PosetSpec.projective(3, 3), p) for p in (2, 5, 13)]
+    for spec, p in cases:
+        f = FieldSpec(p)
+        rep = homology_scan(spec, f)
+        assert len(rep.records) == (spec.n + 1) * (rep.pi - 1)
+        for r in rep.records:
+            tc = trace_check(spec, f, r.j, r.i)
+            assert r.dim == homology_dim(spec, f, r.j, r.i), (spec, p, r)
+            assert (r.lhs, r.rhs) == (tc.lhs, tc.rhs), (spec, p, r)
+            assert r.passed == (tc.passed and (r.in_window or r.dim == 0))
+
+
+def test_scan_computes_no_full_binomials(monkeypatch):
+    # rank sizes come from one cached row and divisibility from q-Lucas, so
+    # a scan of 9,072 records needs (almost) no Gaussian binomial
+    calls = []
+    real = qarith.gauss_binom
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("inchom") and getattr(module, "gauss_binom", None) is real:
+            monkeypatch.setattr(module, "gauss_binom", counting)
+    rep = homology_scan(PosetSpec.boolean(8), FieldSpec(1009))
+    assert rep.passed and len(rep.records) == 9 * 1008
+    assert len(calls) <= 100
+
+
+def test_scan_record_bound():
+    # 7 * 10006 records pass; the bound is checked before any record is made
+    rep = homology_scan(PosetSpec.boolean(6), FieldSpec(10007))
+    assert rep.passed and len(rep.records) == 70_042
+    with pytest.raises(ResourceLimitError, match=f"7000014 records, over the bound {MAX_SCAN_RECORDS}"):
+        homology_scan(PosetSpec.boolean(6), FieldSpec(1_000_003))

@@ -219,6 +219,39 @@ def test_incidence_rank_matches_elimination():
     assert cases == 1695
 
 
+def _incidence_rank_by_full_binomials(spec, k, i, p):
+    """The Wilson / Frumkin-Yakir sum with every Gaussian binomial computed in full."""
+    n, q, t = spec.n, spec.q, k - i
+    if k > n or t < 0:
+        return 0
+    if t > n - k:
+        t, k = n - k, n - t
+    return sum(
+        gauss_binom(n, s, q) - gauss_binom(n, s - 1, q)
+        for s in range(t + 1)
+        if gauss_binom(k - s, t - s, q) % p
+    )
+
+
+def test_incidence_rank_matches_full_binomial_formula():
+    # the row and q-Lucas route against the formula it replaced, past
+    # elimination scale: subsets up to n = 29, subspaces up to n = 9
+    specs = [PosetSpec.boolean(n) for n in range(1, 30)]
+    specs += [PosetSpec.projective(n, q) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 10)]
+    cases = 0
+    for spec in specs:
+        for p in (2, 3, 5, 7, 11, 13, 17, 31):
+            if spec.q % p == 0:
+                continue
+            field = FieldSpec(p)
+            for k in range(spec.n + 2):
+                for i in range(1, k + 2):
+                    want = _incidence_rank_by_full_binomials(spec, k, i, p)
+                    assert incidence_rank(spec, k, i, field) == want, (spec.describe(), p, k, i)
+                    cases += 1
+    assert cases == 57_434
+
+
 def test_incidence_rank_edges():
     # ranks outside 0..n give empty matrices
     b5 = PosetSpec.boolean(5)

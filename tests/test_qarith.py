@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inchom.errors import IncompatibleFieldError
 from inchom.qarith import (
     FieldSpec,
+    divides_gauss_binom,
     gauss_binom,
+    gauss_row,
     is_prime,
     q_factorial,
     q_int,
@@ -92,6 +96,52 @@ def test_gauss_binom_symmetry_and_pascal():
                     assert gauss_binom(n, k, q) == gauss_binom(
                         n - 1, k - 1, q
                     ) + q**k * gauss_binom(n - 1, k, q)
+
+
+def test_gauss_row_matches_gauss_binom():
+    for q in (1, 2, 3, 4, 5, 7, 8, 9):
+        for n in range(41):
+            assert gauss_row(n, q) == tuple(gauss_binom(n, s, q) for s in range(n + 1)), (n, q)
+    with pytest.raises(ValueError):
+        gauss_row(-1, 2)
+    with pytest.raises(ValueError):
+        gauss_row(3, 0)
+
+
+Q_LUCAS_QS = (1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+Q_LUCAS_PS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def test_q_lucas_divisibility_grid():
+    # every 0 <= b <= a + 1 with a < 40, each p <= 31 prime to q; pi runs
+    # from 2 to p, so both the Lucas digits and the residues mod pi matter
+    cases = 0
+    for q in Q_LUCAS_QS:
+        for a in range(40):
+            for b in range(a + 2):
+                value = gauss_binom(a, b, q)
+                for p in Q_LUCAS_PS:
+                    if q % p == 0:
+                        continue
+                    pi = quantum_char(p, q)
+                    assert divides_gauss_binom(p, pi, a, b) == (value % p == 0), (a, b, p, q)
+                    cases += 1
+    assert cases == 95_460
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(min_value=0, max_value=300),
+    data=st.data(),
+    q=st.sampled_from(Q_LUCAS_QS),
+    p=st.sampled_from(Q_LUCAS_PS),
+)
+def test_q_lucas_divisibility_property(a, data, q, p):
+    b = data.draw(st.integers(min_value=0, max_value=a), label="b")
+    if q % p == 0:
+        return
+    pi = quantum_char(p, q)
+    assert divides_gauss_binom(p, pi, a, b) == (gauss_binom(a, b, q) % p == 0)
 
 
 def test_quantum_char_examples():
