@@ -499,6 +499,59 @@ def _boolean_index_map(masks: np.ndarray, perm, k: int) -> np.ndarray:
 def _count_components(size: int, maps) -> int:
     """Number of orbits on 0..size-1 of the group generated by the index maps.
 
+    Every map is the permutation by which one generator acts, so the indices
+    reached forward from i by the maps form the whole orbit of i; no inverse
+    maps are needed.  Phase 1 peels orbits one at a time by breadth-first
+    search (`_peel_orbit`), each from the least index not yet seen.  It suits
+    a few large orbits: each element is gathered once per map.  Phase 2 is the
+    stop rule: once an orbit holds less than 1/8 of what was unseen before it,
+    the seen marks are dropped and `_propagate_labels` counts every orbit from
+    scratch.  Each peel that continues removes at least 1/8 of what is left,
+    so there are at most ln(size)/ln(8/7) + 1 traversals (112 for 2.7M
+    elements), and a fallback wastes at most one pass over the elements, about
+    a third of what the propagation itself costs.
+    """
+    if not maps:
+        return size
+    seen = np.zeros(size, dtype=bool)
+    count, left, start = 0, size, 0
+    while left:
+        start += int(np.argmin(seen[start:]))
+        orbit = _peel_orbit(start, maps, seen)
+        if 8 * orbit < left:
+            del seen
+            return _propagate_labels(size, maps)
+        count += 1
+        left -= orbit
+    return count
+
+
+def _peel_orbit(start: int, maps, seen: np.ndarray) -> int:
+    """Mark the orbit of start in seen by breadth-first search; return its size.
+
+    Each level gathers the images of the frontier under every map, keeps the
+    unseen ones and marks them.  A map is injective and the marks are set map
+    by map, so the new frontier has no repeats; it is sorted so that the next
+    level's gathers run in ascending order.
+    """
+    seen[start] = True
+    frontier = np.array([start], dtype=maps[0].dtype)
+    orbit = 1
+    while frontier.size:
+        parts = []
+        for img in maps:
+            ahead = img[frontier]
+            ahead = ahead[~seen[ahead]]
+            seen[ahead] = True
+            parts.append(ahead)
+        frontier = np.sort(np.concatenate(parts))
+        orbit += frontier.size
+    return orbit
+
+
+def _propagate_labels(size: int, maps) -> int:
+    """Number of orbits of the index maps by label propagation.
+
     The orbits are the connected components of the graph with an edge from
     every i to each img[i].  Every label starts as its own index and each
     round starts with every label a root (its own label).  For each map whose
@@ -534,8 +587,9 @@ def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = N
 
     Each generator becomes an index map on the rank set, built once:
     byte-table images ranked in colex order for subsets, `act` plus the
-    canonical-form index for subspaces.  One label propagation counts the
-    orbits of the maps.
+    canonical-form index for subspaces.  `_count_components` counts the
+    orbits of the maps: breadth-first search while the orbits are large, one
+    label propagation over the whole rank set once they turn small.
     """
     _check_action(g, spec)
     size = poset._check_cap(spec, k, cap)

@@ -115,11 +115,29 @@ def divides_gauss_binom(p: int, pi: int, a: int, b: int) -> bool:
     return False
 
 
+def _prime_factors(m: int) -> list:
+    """The distinct prime factors of m >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def quantum_char(p: int, q: int) -> int:
     """Least pi > 0 with q_int(pi, q) divisible by p; requires p prime, p not dividing q.
 
-    Found by direct search; pi never exceeds p, because pi = p when p divides
-    q - 1 and pi equals the multiplicative order of q mod p otherwise.
+    pi = p when p divides q - 1.  Otherwise q_int(i, q) = (q^i - 1)/(q - 1)
+    with q - 1 a unit mod p, so pi is the multiplicative order of q mod p.
+    That order divides p - 1; starting from p - 1, each prime factor d of
+    p - 1 (found by trial division, O(sqrt p) like is_prime) is divided out
+    while q^(order/d) = 1 mod p.
     """
     if not is_prime(p):
         raise ValueError(f"quantum_char needs a prime p, got {p}")
@@ -127,12 +145,13 @@ def quantum_char(p: int, q: int) -> int:
         raise ValueError(f"quantum_char needs q >= 1, got {q}")
     if q % p == 0:
         raise IncompatibleFieldError(f"p = {p} divides q = {q}")
-    s = 0
-    for i in range(1, p + 1):
-        s = (s * q + 1) % p
-        if s == 0:
-            return i
-    raise InternalConsistencyError(f"no quantum characteristic below {p} for q = {q}")
+    if (q - 1) % p == 0:
+        return p
+    order = p - 1
+    for d in _prime_factors(p - 1):
+        while order % d == 0 and pow(q, order // d, p) == 1:
+            order //= d
+    return order
 
 
 def quantum_char_via_order(p: int, q: int) -> int:

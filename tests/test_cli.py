@@ -80,14 +80,56 @@ def test_homology_scan_record_bound(capsys):
     assert "records" not in doc["results"]
 
 
+def _child_env():
+    """The environment of a new interpreter that imports this inchom."""
+    return dict(os.environ, PYTHONPATH=str(Path(inchom.__file__).resolve().parents[1]))
+
+
+def _cli_within(seconds, *argv):
+    """(exit code, JSON report) of the command line run in a new interpreter under a timeout."""
+    out = subprocess.run([sys.executable, "-m", "inchom.cli", *argv, "--json"],
+                         env=_child_env(), capture_output=True, text=True, timeout=seconds)
+    return out.returncode, json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("poset,pi", [("boolean:4", 1_000_000_007),
+                                      ("projective:4,2", 500_000_003)])
+def test_homology_cell_at_a_huge_prime_returns(poset, pi):
+    code, doc = _cli_within(20, "homology", poset, "-p", "1000000007", "-j", "2", "-i", "1")
+    assert code == 0 and doc["results"]["pi"] == pi
+
+
+def test_homology_scan_at_a_huge_prime_fails_fast():
+    code, doc = _cli_within(20, "homology", "boolean:6", "-p", "1000000007")
+    assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
+
+
+def _recorded_digests():
+    """SHA-256 of stdout for each fixed benchmark call, keyed by its argv."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    return json.loads(path.read_text())
+
+
 def test_homology_reports_match_recorded_digests(capsys):
     # the benchmark's fixed homology calls, scans and single cells, must
     # print byte for byte what the reference commit printed
-    expected = json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
-    )
+    expected = _recorded_digests()
     keys = [key for key in expected if key.startswith("homology")]
     assert len(keys) == 174
+    for key in keys:
+        main(key.split() + ["--json"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected[key], key
+
+
+def test_other_reports_match_recorded_digests(capsys):
+    # every fixed call of the benchmark beyond homology: mult, bounds,
+    # pitable, chain, orbits (M24 over all ranks and at k = 2) and order
+    expected = _recorded_digests()
+    keys = [key for key in expected if not key.startswith("homology")]
+    commands = [key.split()[0] for key in keys]
+    assert {c: commands.count(c) for c in set(commands)} == {
+        "mult": 50, "bounds": 6, "pitable": 6, "chain": 5, "orbits": 2, "order": 1}
     for key in keys:
         main(key.split() + ["--json"])
         out = capsys.readouterr().out
@@ -351,9 +393,8 @@ def test_chain_gate_rejects_broken_series(monkeypatch, capsys):
 
 def _fresh_python(code, *args):
     """JSON printed last by code run in a new interpreter that imports this inchom."""
-    env = dict(os.environ, PYTHONPATH=str(Path(inchom.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=_child_env(),
+                         capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 from corpus import closure, corpus, pmul
 from inchom.chartab import fix_count_subsets
 from inchom.cli import data_text
+from inchom import groupact
 from inchom.errors import DataError, InternalConsistencyError, ResourceLimitError
 from inchom.groupact import (
     Group,
     _bool_mask_array,
     _boolean_index_map,
+    _count_components,
+    _propagate_labels,
     act,
     burnside_counts,
     cycle_type,
@@ -345,3 +349,132 @@ def test_act_is_group_action_sampled_permutations():
     gh = pmul(g, h)
     for x in enumerate_rank(spec, 2):
         assert act(gh, x, spec) == act(g, act(h, x, spec), spec)
+
+
+@st.composite
+def permutation_groups(draw):
+    """Generators that each permute a random subset of the n <= 14 points.
+
+    Supports of every size give groups with one orbit per rank as well as
+    groups with many small orbits, so both phases of the counter run.
+    """
+    n = draw(st.integers(1, 14))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.lists(st.integers(0, n - 1), unique=True))
+        perm = list(range(n))
+        for src, dst in zip(support, draw(st.permutations(support))):
+            perm[src] = dst
+        gens.append(tuple(perm))
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_groups())
+def test_counter_phases_agree_with_brute_force(gens):
+    n = len(gens[0])
+    spec = PosetSpec.boolean(n)
+    for k in range(n + 1):
+        masks = _bool_mask_array(n, k)
+        maps = [_boolean_index_map(masks, perm, k) for perm in gens]
+        want = brute_orbit_count(gens, enumerate_rank(spec, k), lambda p, m: act(p, m, spec))
+        assert _count_components(masks.size, maps) == want, k
+        assert _propagate_labels(masks.size, maps) == want, k
+
+
+@pytest.fixture
+def counter_spy(monkeypatch):
+    """Record the size of each orbit the counter peels and each fallback it takes."""
+    record = {"peeled": [], "fallbacks": 0}
+    peel, propagate = groupact._peel_orbit, groupact._propagate_labels
+
+    def peeling(start, maps, seen):
+        size = peel(start, maps, seen)
+        record["peeled"].append(size)
+        return size
+
+    def falling_back(size, maps):
+        record["fallbacks"] += 1
+        return propagate(size, maps)
+
+    monkeypatch.setattr(groupact, "_peel_orbit", peeling)
+    monkeypatch.setattr(groupact, "_propagate_labels", falling_back)
+    return record
+
+
+def _symmetric_on(m, n):
+    """S_m on the first m of n points, by an m-cycle and a transposition."""
+    cycle = tuple(range(1, m)) + (0,) + tuple(range(m, n))
+    swap = (1, 0) + tuple(range(2, n))
+    return Group(kind="permutation", degree=n, generators=(cycle, swap))
+
+
+def test_counter_peels_only_for_the_symmetric_group(counter_spy):
+    g = _symmetric_on(8, 8)
+    spec = PosetSpec.boolean(8)
+    series = burnside_counts(g, spec)
+    for k in range(9):
+        counter_spy["peeled"].clear()
+        assert orbit_count_unionfind(g, spec, k) == series.values[k] == 1
+        assert counter_spy["peeled"] == [comb(8, k)], k
+    assert counter_spy["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("g,n,k", [
+    (Group(kind="permutation", degree=6, generators=(tuple(range(6)),)), 6, 3),
+    (Group(kind="permutation", degree=20,
+           generators=(tuple((i + 1) % 20 for i in range(20)),)), 20, 10),
+])
+def test_counter_falls_back_after_one_small_orbit(counter_spy, g, n, k):
+    # the trivial group on 20 sets of size 3, and C_20 on 184,756 sets of size 10
+    spec = PosetSpec.boolean(n)
+    assert orbit_count_unionfind(g, spec, k) == burnside_counts(g, spec).values[k]
+    assert len(counter_spy["peeled"]) == 1 and counter_spy["fallbacks"] == 1
+
+
+def test_counter_falls_back_after_large_orbits(counter_spy):
+    # S_8 fixing 4 of 12 points: the 4-sets inside the moved points form one
+    # orbit of 70, then those with one fixed point orbits of 56 and those with
+    # two orbits of 28.  Peels continue while an orbit holds at least 1/8 of
+    # what is left (70 of 495, 56 of 425, 56 of 369); 28 of 313 is too little.
+    g = _symmetric_on(8, 12)
+    spec = PosetSpec.boolean(12)
+    assert orbit_count_unionfind(g, spec, 4) == burnside_counts(g, spec).values[4] == 16
+    assert counter_spy["peeled"] == [70, 56, 56, 28] and counter_spy["fallbacks"] == 1
+
+
+def test_counter_without_generators():
+    # no map moves anything, so every element is its own orbit
+    g = Group(kind="permutation", degree=6, generators=())
+    assert [orbit_count_unionfind(g, PosetSpec.boolean(6), k) for k in range(7)] == [
+        comb(6, k) for k in range(7)]
+
+
+# the 26 classes of M24 as (cycle type on the 24 points, centralizer order)
+M24_CLASSES = [
+    ((1,) * 24, 244823040), ((2,) * 8 + (1,) * 8, 21504), ((2,) * 12, 7680),
+    ((3,) * 6 + (1,) * 6, 1080), ((3,) * 8, 504), ((4,) * 4 + (2,) * 4, 384),
+    ((4,) * 4 + (2,) * 2 + (1,) * 4, 128), ((4,) * 6, 96), ((5,) * 4 + (1,) * 4, 60),
+    ((6, 6, 3, 3, 2, 2, 1, 1), 24), ((6,) * 4, 24), ((7, 7, 7, 1, 1, 1), 42),
+    ((7, 7, 7, 1, 1, 1), 42), ((8, 8, 4, 2, 1, 1), 16), ((10, 10, 2, 2), 20),
+    ((11, 11, 1, 1), 11), ((12, 6, 4, 2), 12), ((12, 12), 12), ((14, 7, 2, 1), 14),
+    ((14, 7, 2, 1), 14), ((15, 5, 3, 1), 15), ((15, 5, 3, 1), 15), ((21, 3), 21),
+    ((21, 3), 21), ((23, 1), 23), ((23, 1), 23),
+]
+
+
+def test_m24_counts_without_label_propagation(monkeypatch):
+    # every rank of M24 is a few large orbits, so the counter must never fall
+    # back; the counts must match Burnside over the class sizes of M24
+    order = 244823040
+    assert sum(order // c for _, c in M24_CLASSES) == order
+
+    def refuse(size, maps):
+        raise AssertionError(f"label propagation ran on {size} elements")
+
+    monkeypatch.setattr(groupact, "_propagate_labels", refuse)
+    g = parse_group(data_text("m24.json"))
+    spec = PosetSpec.boolean(24)
+    for k in range(9):
+        fixed = sum(order // c * fix_count_subsets(t, k) for t, c in M24_CLASSES)
+        assert orbit_count_unionfind(g, spec, k) * order == fixed, k

@@ -175,6 +175,41 @@ def test_quantum_char_agrees_with_order_form():
             assert quantum_char(p, q) == quantum_char_via_order(p, q), (p, q)
 
 
+def direct_quantum_char(p, q):
+    """Oracle: the least pi with p | q_int(pi, q), by direct search in O(p)."""
+    s = 0
+    for i in range(1, p + 1):
+        s = (s * q + 1) % p
+        if s == 0:
+            return i
+    raise AssertionError(f"no quantum characteristic up to {p} for q = {q}")
+
+
+def test_quantum_char_agrees_with_direct_search():
+    cases = 0
+    for p in range(2, 2000):
+        if not is_prime(p):
+            continue
+        for q in range(1, 31):
+            if q % p == 0:
+                continue
+            want = direct_quantum_char(p, q)
+            assert quantum_char(p, q) == want, (p, q)
+            assert quantum_char_via_order(p, q) == want, (p, q)
+            cases += 1
+    # 303 primes below 2000, 30 values of q, minus the 43 pairs with p | q
+    assert cases == 303 * 30 - 43
+
+
+def test_quantum_char_of_huge_primes():
+    # pi(p, 2) = (p - 1) / 2 for p = 10^9 + 7; a search in O(p) would not return
+    assert quantum_char(1_000_000_007, 2) == 500_000_003
+    assert quantum_char(1_000_000_007, 1) == 1_000_000_007
+    assert quantum_char(2**31 - 1, 2) == 31
+    # 7 is a primitive root of 2^31 - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331 + 1
+    assert quantum_char(2**31 - 1, 7) == 2**31 - 2
+
+
 def test_quantum_char_defining_properties():
     for p in (2, 3, 5, 7, 11, 13, 17, 19):
         for q in (1, 2, 3, 4, 5, 8, 9):
