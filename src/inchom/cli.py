@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import chartab, homology, inequal, poset
 from .errors import DataError, IncompatibleFieldError, InternalConsistencyError, ResourceLimitError
-from .qarith import FieldSpec, is_prime, quantum_char
+from .qarith import FieldSpec, factorize, is_prime, quantum_char
 
 PITABLE_DEFAULT_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
 
@@ -45,19 +45,6 @@ def _int_list(text: str) -> list:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _factorize(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[str(d)] = out.get(str(d), 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[str(n)] = out.get(str(n), 0) + 1
-    return out
 
 
 def cmd_pitable(args) -> dict:
@@ -148,10 +135,10 @@ def _chain_pis(n: int, q: int, order: int) -> list:
     candidates are the prime factors of those numbers; for q = 1, pi(p, 1) = p.
     """
     if q == 1:
-        candidates = range(2, n + 1)
+        candidates = {p for p in range(2, n + 1) if is_prime(p)}
     else:
-        candidates = {int(p) for e in range(1, n + 1) for p in _factorize(q**e - 1)}
-    pis = {quantum_char(p, q) for p in candidates if is_prime(p) and (q * order) % p}
+        candidates = {p for e in range(1, n + 1) for p in factorize(q**e - 1)}
+    pis = {quantum_char(p, q) for p in candidates if (q * order) % p}
     return sorted(pi for pi in pis if pi <= n)
 
 
@@ -180,6 +167,8 @@ def cmd_orbits(args) -> dict:
 
     g = groupact.parse_group(_read_source(args.group), name=args.group)
     spec = poset.PosetSpec.parse(args.poset)
+    if args.k is not None and not 0 <= args.k <= spec.n:
+        raise ValueError(f"rank {args.k} of {spec.describe()} is empty")
     order = groupact.group_order(g, args.max_group_order)
     inputs = {"group": args.group, "poset": spec.describe(),
               "method": args.method, "k": args.k}
@@ -331,11 +320,11 @@ def cmd_order(args) -> dict:
 
     g = groupact.parse_group(_read_source(args.group), name=args.group)
     order = groupact.group_order(g, args.max_group_order)
+    factors = {str(p): e for p, e in factorize(order).items()}
     return {
         "command": "order",
         "inputs": {"group": args.group},
-        "results": {"order": order, "factorization": _factorize(order),
-                    "declared": g.declared_order},
+        "results": {"order": order, "factorization": factors, "declared": g.declared_order},
         "status": "pass",
     }
 

@@ -7,6 +7,8 @@ tables built once from the reducing polynomial.
 
 from functools import lru_cache
 
+from .qarith import factorize
+
 # reducing polynomials, little-endian coefficients
 _MIN_POLY = {
     4: (2, (1, 1, 1)),  # x^2 + x + 1 over GF(2)
@@ -20,17 +22,8 @@ def prime_power_decomposition(q: int):
     """Return (p, e) with q = p^e and p prime, or None if q is not a prime power."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-    return (q, 1)
+    factors = factorize(q)
+    return next(iter(factors.items())) if len(factors) == 1 else None
 
 
 class GF:

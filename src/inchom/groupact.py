@@ -1,16 +1,20 @@
 """Permutation and matrix groups acting on rank sets.
 
-Covers group parsing, exact order computation (Schreier-Sims for permutation
-groups, closure for matrix groups), cycle types, Burnside orbit counting over
-all elements, and generator-closure orbit counting on a single rank set.  The
-orbit counter works on numpy arrays, so this is the one module of the command
-line that loads numpy; `cli` imports it only for `orbits` and `order`.
+Covers group parsing, exact order computation (a stabilizer chain for a
+permutation group, closure for a matrix group), cycle types, Burnside orbit
+counting over the elements listed from the chain, and generator-closure orbit
+counting on a single rank set.  The orbit counter works on numpy arrays, so
+this is the one module of the command line that loads numpy; `cli` imports it
+only for `orbits` and `order`.
 """
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,8 +27,8 @@ DEFAULT_GROUP_CAP = 1_000_000
 
 
 def _pmul(a, b):
-    """Composition a after b: (a*b)(x) = a(b(x))."""
-    return tuple(a[i] for i in b)
+    """Composition a after b: (a*b)(x) = a(b(x)), gathered in C by itemgetter."""
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[i] for i in b)
 
 
 def _pinv(a):
@@ -167,74 +171,85 @@ def parse_group(source: str, name: str = "") -> Group:
     raise DataError(f"unknown group kind {kind!r}")
 
 
-def _schreier_sims_order(gens, n: int) -> int:
-    ident = _identity(n)
-    gens = [g for g in gens if g != ident]
-    if not gens:
-        return 1
-    base: list[int] = []
-    strong: list[tuple] = []
+@lru_cache(maxsize=8)
+def _stabilizer_chain(gens, n: int) -> tuple:
+    """One {orbit point x: u in G_i with u(b_i) = x} per base point b_i, G_i fixing b_0..b_{i-1}.
 
-    def extend_base(g):
-        if all(g[b] == b for b in base):
-            base.append(next(i for i in range(n) if g[i] != i))
+    |G| is the product of the dict sizes, and G is the products u_0 u_1 ...
+    of one u per level.  Incremental Schreier-Sims (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.4.2) completes the levels
+    from the deepest up, sifting the Schreier generator u_{s(x)}^-1 s u_x of
+    each pair (x, s) of a level's orbit and strong generators once.  A residue
+    h joins the strong generators of every level whose base points it fixes
+    (a new level if it fixes them all); their orbits grow in place, which
+    changes no representative, and the scan resumes at the deepest of them.
+    """
+    ident = _identity(n)
+    base, strong, reps, tested = [], [], [], []
+
+    def add(h, depth):
+        """Make h, which fixes b_0..b_{depth-1}, a strong generator of levels 0..depth."""
+        if depth == len(base):
+            b = next(i for i in range(n) if h[i] != i)
+            base.append(b)
+            strong.append([])
+            reps.append({b: ident})
+            tested.append(set())
+        for i in range(depth + 1):
+            strong[i].append(h)
+            tr = reps[i]
+            grown = []
+            for x, ux in list(tr.items()):
+                if h[x] not in tr:
+                    tr[h[x]] = _pmul(h, ux)
+                    grown.append(h[x])
+            while grown:
+                x = grown.pop()
+                for s in strong[i]:
+                    if s[x] not in tr:
+                        tr[s[x]] = _pmul(s, tr[x])
+                        grown.append(s[x])
+
+    def sift(a, b, depth):
+        """Level at which a^-1 b leaves the chain from `depth` on, and its residue there.
+
+        Kept as the pair (a, b), no representative is inverted: a^-1 b maps
+        b_j to a.index(b[b_j]) = z, and dividing by u_z replaces a by a u_z.
+        """
+        for j in range(depth, len(base)):
+            if a == b:
+                return j, ident
+            z = a.index(b[base[j]])
+            uz = reps[j].get(z)
+            if uz is None:
+                return j, _pmul(_pinv(a), b)
+            a = _pmul(a, uz)
+        return len(base), (ident if a == b else _pmul(_pinv(a), b))
+
+    def first_residue(i):
+        """Sift the untested Schreier generators of level i until one leaves a residue."""
+        for x, ux in reps[i].items():
+            for t, s in enumerate(strong[i]):
+                if (x, t) not in tested[i]:
+                    tested[i].add((x, t))
+                    depth, h = sift(reps[i][s[x]], _pmul(s, ux), i + 1)
+                    if h != ident:
+                        return h, depth
+        return None
 
     for g in gens:
-        extend_base(g)
-        strong.append(g)
-
-    while True:
-        levels = []
-        for l, beta in enumerate(base):
-            S = [g for g in strong if all(g[base[j]] == base[j] for j in range(l))]
-            tr = {beta: ident}
-            inv_tr = {beta: ident}
-            queue = [beta]
-            while queue:
-                x = queue.pop()
-                ux = tr[x]
-                for g in S:
-                    y = g[x]
-                    if y not in tr:
-                        u = _pmul(g, ux)
-                        tr[y] = u
-                        inv_tr[y] = _pinv(u)
-                        queue.append(y)
-            levels.append((S, tr, inv_tr))
-
-        def strip(g, l0):
-            for j in range(l0, len(base)):
-                x = g[base[j]]
-                _, tr, inv_tr = levels[j]
-                if x not in tr:
-                    return g
-                g = _pmul(inv_tr[x], g)
-            return g
-
-        residue = None
-        for l in range(len(base)):
-            S, tr, inv_tr = levels[l]
-            for x in sorted(tr):
-                ux = tr[x]
-                for g in S:
-                    sg = _pmul(inv_tr[g[x]], _pmul(g, ux))
-                    if sg == ident:
-                        continue
-                    h = strip(sg, l + 1)
-                    if h != ident:
-                        residue = h
-                        break
-                if residue:
-                    break
-            if residue:
-                break
+        depth, h = sift(ident, g, 0)
+        if h != ident:
+            add(h, depth)
+    i = len(base) - 1
+    while i >= 0:
+        residue = first_residue(i)
         if residue is None:
-            order = 1
-            for _, tr, _ in levels:
-                order *= len(tr)
-            return order
-        extend_base(residue)
-        strong.append(residue)
+            i -= 1
+        else:
+            add(*residue)
+            i = residue[1]
+    return tuple(reps)
 
 
 def _matrix_mul(a, b, F):
@@ -280,28 +295,28 @@ def _matrix_closure(gens, n, q, cap) -> list | None:
 @lru_cache(maxsize=64)
 def _order_cached(g: Group, cap: int) -> int:
     if g.kind == "permutation":
-        order = _schreier_sims_order(g.generators, g.degree)
-        if g.declared_order is not None and g.declared_order != order:
-            raise DataError(
-                f"declared order {g.declared_order} but computed {order}"
+        order = prod(len(tr) for tr in _stabilizer_chain(g.generators, g.degree))
+    else:
+        elems = _matrix_closure(g.generators, g.degree, g.q, cap)
+        if elems is None:
+            if g.declared_order is not None:
+                return g.declared_order
+            raise ResourceLimitError(
+                f"matrix group closure exceeded {cap} elements; "
+                "supply an 'order' field in the group file"
             )
-        return order
-    elems = _matrix_closure(g.generators, g.degree, g.q, cap)
-    if elems is None:
-        if g.declared_order is not None:
-            return g.declared_order
-        raise ResourceLimitError(
-            f"matrix group closure exceeded {cap} elements; "
-            "supply an 'order' field in the group file"
-        )
-    order = len(elems)
+        order = len(elems)
     if g.declared_order is not None and g.declared_order != order:
         raise DataError(f"declared order {g.declared_order} but computed {order}")
     return order
 
 
 def group_order(g: Group, cap: int | None = None) -> int:
-    """Exact |G|; verifies any declared order whenever computation is feasible."""
+    """Exact |G|; verifies any declared order whenever computation is feasible.
+
+    A permutation group's order is read from its stabilizer chain; only the
+    closure of a matrix group is capped.
+    """
     return _order_cached(g, DEFAULT_GROUP_CAP if cap is None else cap)
 
 
@@ -321,26 +336,6 @@ def cycle_type(perm) -> tuple:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def _perm_closure(gens, n, cap):
-    ident = _identity(n)
-    elements = {ident: None}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = _pmul(m, g)
-                if prod not in elements:
-                    elements[prod] = None
-                    new.append(prod)
-                    if len(elements) > cap:
-                        raise ResourceLimitError(
-                            f"group closure exceeded the cap {cap}"
-                        )
-        frontier = new
-    return list(elements)
 
 
 @dataclass(frozen=True)
@@ -377,8 +372,9 @@ def _check_action(g: Group, spec: PosetSpec):
 def burnside_counts(g: Group, spec: PosetSpec, cap: int | None = None) -> OrbitSeries:
     """Orbit counts as the average number of fixed k-subsets over all elements.
 
-    Requires a permutation group matching a boolean poset, and full element
-    enumeration under the cap.  Division by |G| must be exact.
+    Requires a permutation group matching a boolean poset with |G| at most
+    the cap.  The elements are the products of one coset representative per
+    level of the stabilizer chain.  Division by |G| must be exact.
     """
     if g.kind != "permutation" or spec.kind != "boolean":
         raise DataError("burnside_counts needs a permutation group on a boolean poset")
@@ -387,10 +383,10 @@ def burnside_counts(g: Group, spec: PosetSpec, cap: int | None = None) -> OrbitS
     order = group_order(g, limit)
     if order > limit:
         raise ResourceLimitError(f"|G| = {order} exceeds the cap {limit}")
-    type_counts: dict[tuple, int] = {}
-    for el in _perm_closure(g.generators, g.degree, limit):
-        ct = cycle_type(el)
-        type_counts[ct] = type_counts.get(ct, 0) + 1
+    elements = [_identity(g.degree)]
+    for tr in reversed(_stabilizer_chain(g.generators, g.degree)):
+        elements = [_pmul(u, h) for u in tr.values() for h in elements]
+    type_counts = Counter(map(cycle_type, elements))
     n = spec.n
     values = []
     for k in range(n + 1):

@@ -8,19 +8,60 @@ integers, factorials and binomial coefficients.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IncompatibleFieldError, InternalConsistencyError
+from .errors import IncompatibleFieldError, InternalConsistencyError, ResourceLimitError
+
+# the first 13 primes; no composite below PRIME_BOUND is a strong pseudoprime
+# to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial division; inputs here are desk-scale."""
+    """Deterministic Miller-Rabin, exact for p < PRIME_BOUND; larger p raise ResourceLimitError."""
+    if p >= PRIME_BOUND:
+        raise ResourceLimitError(f"primality of {p} is decided only below {PRIME_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def factorize(m: int) -> dict[int, int]:
+    """Prime factorization {p: e} of m >= 1, ascending, by trial division.
+
+    Division stops as soon as the cofactor left is prime (by is_prime, below
+    PRIME_BOUND), so m = (small primes) * (one large prime) returns at once.
+    """
+    if m < 1:
+        raise ValueError(f"factorize needs m >= 1, got {m}")
+    out = {}
+    d = 2
+    while m > 1 and not (m < PRIME_BOUND and is_prime(m)):
+        while d * d <= m and m % d:
+            d += 1
+        if d * d > m:
+            break
+        while m % d == 0:
+            m //= d
+            out[d] = out.get(d, 0) + 1
+    if m > 1:
+        out[m] = 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,29 +156,13 @@ def divides_gauss_binom(p: int, pi: int, a: int, b: int) -> bool:
     return False
 
 
-def _prime_factors(m: int) -> list:
-    """The distinct prime factors of m >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def quantum_char(p: int, q: int) -> int:
     """Least pi > 0 with q_int(pi, q) divisible by p; requires p prime, p not dividing q.
 
     pi = p when p divides q - 1.  Otherwise q_int(i, q) = (q^i - 1)/(q - 1)
     with q - 1 a unit mod p, so pi is the multiplicative order of q mod p.
     That order divides p - 1; starting from p - 1, each prime factor d of
-    p - 1 (found by trial division, O(sqrt p) like is_prime) is divided out
-    while q^(order/d) = 1 mod p.
+    p - 1 (from `factorize`) is divided out while q^(order/d) = 1 mod p.
     """
     if not is_prime(p):
         raise ValueError(f"quantum_char needs a prime p, got {p}")
@@ -148,7 +173,7 @@ def quantum_char(p: int, q: int) -> int:
     if (q - 1) % p == 0:
         return p
     order = p - 1
-    for d in _prime_factors(p - 1):
+    for d in factorize(p - 1):
         while order % d == 0 and pow(q, order // d, p) == 1:
             order //= d
     return order

@@ -104,6 +104,19 @@ def test_homology_scan_at_a_huge_prime_fails_fast():
     assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
 
 
+@pytest.mark.parametrize("poset,extra,pi", [("boolean:4", ("-j", "2", "-i", "1"), 2**61 - 1),
+                                            ("projective:4,2", ("-j", "1", "-i", "1"), 61)])
+def test_homology_cell_at_a_mersenne_prime_returns(poset, extra, pi):
+    # 2^61 - 1 hung trial division; 2 has order 61 modulo it
+    code, doc = _cli_within(20, "homology", poset, "-p", str(2**61 - 1), *extra)
+    assert code == 0 and doc["results"]["pi"] == pi
+
+
+def test_homology_scan_at_a_mersenne_prime_fails_fast():
+    code, doc = _cli_within(20, "homology", "boolean:6", "-p", str(2**61 - 1))
+    assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
+
+
 def _recorded_digests():
     """SHA-256 of stdout for each fixed benchmark call, keyed by its argv."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -311,9 +324,12 @@ def test_orbits_mirror_matches_direct_counts(tmp_path, capsys):
 
 def test_orbits_mirror_keeps_error_reports(tmp_path, capsys):
     for k in ("-1", "5", "9"):
-        code, doc = run_json(capsys, "orbits", "data:c4.json", "boolean:4", "-k", k)
-        assert code == 2
-        assert doc["results"] == {"error": f"rank {k} of boolean:4 is empty", "type": "ValueError"}
+        for method in ("uf", "burnside", "both"):
+            code, doc = run_json(capsys, "orbits", "data:c4.json", "boolean:4", "-k", k,
+                                 "--method", method)
+            assert code == 2, method
+            assert doc["results"] == {"error": f"rank {k} of boolean:4 is empty",
+                                      "type": "ValueError"}, method
     over = {"type": "ResourceLimitError"}
     code, doc = run_json(capsys, "orbits", "data:c4.json", "boolean:4", "-k", "3",
                          "--max-rank-size", "3")
@@ -330,6 +346,23 @@ def test_orbits_mirror_keeps_error_reports(tmp_path, capsys):
                          "--max-rank-size", "6")
     assert code == 2
     assert doc["results"] == over | {"error": "rank 2 of projective:3,2 has 7 elements, over the cap 6"}
+
+
+def test_burnside_group_order_cap(capsys):
+    code, doc = run_json(capsys, "orbits", "data:s4.json", "boolean:4", "--method", "burnside",
+                         "--max-group-order", "10")
+    assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
+    assert "|G| = 24" in doc["results"]["error"]
+
+
+def test_traced_names_resolve(monkeypatch):
+    # the benchmark's traced runs wrap these functions by name
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    targets = tracing._targets()
+    assert targets
+    for module, attr, _, _ in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
 def test_orbits_count_only_the_lower_half(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,6 @@
 import json
 import random
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -89,9 +89,48 @@ def test_group_order_m24():
     assert order == 2**10 * 3**3 * 5 * 7 * 11 * 23
 
 
+def _chain_elements(g):
+    """The products u_0 u_1 ... of one representative per level of the stabilizer chain."""
+    elements = [tuple(range(g.degree))]
+    for tr in reversed(groupact._stabilizer_chain(g.generators, g.degree)):
+        elements = [pmul(u, h) for u in tr.values() for h in elements]
+    return elements
+
+
 def test_group_order_matches_closure_on_corpus():
     for name, g, _, _, _ in corpus():
-        assert group_order(g) == len(closure(list(g.generators))), name
+        elements = closure(list(g.generators))
+        assert group_order(g) == len(elements), name
+        assert sorted(_chain_elements(g)) == elements, name
+
+
+def _alternating(n):
+    """A_n by a 3-cycle and an (n-1)- or n-cycle, whichever is even."""
+    three = (1, 2, 0) + tuple(range(3, n))
+    if n % 2:
+        return (three, tuple(range(1, n)) + (0,))
+    return (three, (0,) + tuple(range(2, n)) + (1,))
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_symmetric_and_alternating_orders(n):
+    assert group_order(_symmetric_on(n, n)) == factorial(n)
+    if n >= 3:
+        g = Group(kind="permutation", degree=n, generators=_alternating(n))
+        assert group_order(g) == factorial(n) // 2
+
+
+def test_bundled_permutation_groups_have_their_declared_orders():
+    from importlib import resources
+
+    checked = []
+    for path in sorted(resources.files("inchom.data").iterdir(), key=lambda f: f.name):
+        doc = json.loads(path.read_text())
+        if doc.get("kind") == "permutation":
+            g = parse_group(path.read_text())
+            assert g.declared_order is not None and group_order(g) == g.declared_order, path.name
+            checked.append(path.name)
+    assert checked == ["c4.json", "d10.json", "m24.json", "s4.json"]
 
 
 def test_group_order_rejects_bad_declared():
@@ -352,13 +391,13 @@ def test_act_is_group_action_sampled_permutations():
 
 
 @st.composite
-def permutation_groups(draw):
-    """Generators that each permute a random subset of the n <= 14 points.
+def permutation_groups(draw, max_degree=14):
+    """Generators that each permute a random subset of the n <= max_degree points.
 
     Supports of every size give groups with one orbit per rank as well as
     groups with many small orbits, so both phases of the counter run.
     """
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(1, max_degree))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         support = draw(st.lists(st.integers(0, n - 1), unique=True))
@@ -380,6 +419,20 @@ def test_counter_phases_agree_with_brute_force(gens):
         want = brute_orbit_count(gens, enumerate_rank(spec, k), lambda p, m: act(p, m, spec))
         assert _count_components(masks.size, maps) == want, k
         assert _propagate_labels(masks.size, maps) == want, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_groups(6), permutation_groups(6))
+def test_chain_of_a_direct_product(a_gens, b_gens):
+    # A x B acts on the disjoint union of their points; its elements are all pairs
+    a, b = len(a_gens[0]), len(b_gens[0])
+    gens = ([x + tuple(range(a, a + b)) for x in a_gens]
+            + [tuple(range(a)) + tuple(a + v for v in y) for y in b_gens])
+    g = Group(kind="permutation", degree=a + b, generators=tuple(gens))
+    a_elements, b_elements = closure(a_gens), closure(b_gens)
+    assert group_order(g) == len(a_elements) * len(b_elements)
+    want = sorted(x + tuple(a + v for v in y) for x in a_elements for y in b_elements)
+    assert sorted(_chain_elements(g)) == want
 
 
 @pytest.fixture

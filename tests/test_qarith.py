@@ -1,11 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inchom.errors import IncompatibleFieldError
+from inchom.errors import IncompatibleFieldError, ResourceLimitError
 from inchom.qarith import (
     FieldSpec,
+    PRIME_BOUND,
     divides_gauss_binom,
+    factorize,
     gauss_binom,
     gauss_row,
     is_prime,
@@ -234,3 +238,49 @@ def test_fieldspec_checks_primality():
 def test_is_prime_small_values():
     primes = [p for p in range(2, 40) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [p for p in range(100_000) if is_prime(p)] == [
+        p for p in range(100_000) if trial_division_is_prime(p)]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,  # to the bases 2..31
+    318665857834031151167461,  # to the bases 2..37; base 41 exposes it
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large_primes_and_the_bound():
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**61 - 1) * (2**13 - 1))
+    assert PRIME_BOUND == 3317044064679887385961981
+    with pytest.raises(ResourceLimitError, match=str(PRIME_BOUND)):
+        is_prime(PRIME_BOUND)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**12))
+def test_factorize_round_trip(m):
+    factors = factorize(m)
+    assert math.prod(p**e for p, e in factors.items()) == m
+    assert all(is_prime(p) and e >= 1 for p, e in factors.items())
+    assert list(factors) == sorted(factors)
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    # 2^61 - 2 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 * 1321
+    assert factorize(2**61 - 2) == {2: 1, 3: 2, 5: 2, 7: 1, 11: 1, 13: 1, 31: 1, 41: 1,
+                                    61: 1, 151: 1, 331: 1, 1321: 1}
+    assert factorize(2**61 - 1) == {2**61 - 1: 1}
+    assert factorize(2**10 * 3 * (2**61 - 1)) == {2: 10, 3: 1, 2**61 - 1: 1}
+    assert factorize(1) == {}
+    with pytest.raises(ValueError):
+        factorize(0)
