@@ -2,13 +2,16 @@
 
 Every subcommand assembles a Report dict and can emit it as JSON with
 --json; identical invocations print byte-identical JSON (timing is shown
-only in the human-readable output).  Exit status: 0 pass, 1 fail, 2 error.
+only in the human-readable output).  A homology scan keeps its
+HomologyReport under "results" until it is printed.  Exit status: 0 pass,
+1 fail, 2 error.
 """
 
 import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 
 from . import chartab, homology, inequal, poset
@@ -101,14 +104,17 @@ def cmd_homology(args) -> dict:
         }
         status = "pass" if tc.passed and (window or dim == 0) else "fail"
     else:
-        report = table.scan()
-        results = report.to_dict()
-        status = "pass" if report.passed else "fail"
+        # the HomologyReport itself, so that _print_json writes its records
+        # from their tuples
+        results = table.scan()
+        status = "pass" if results.passed else "fail"
     return {"command": "homology", "inputs": inputs, "results": results, "status": status}
 
 
 def _render_homology(report) -> str:
     res = report["results"]
+    if isinstance(res, homology.HomologyReport):
+        res = res.to_dict()
     lines = [f"pi = {res['pi']}"]
     if "records" in res:
         nonzero = [r for r in res["records"] if r["dim"]]
@@ -337,6 +343,41 @@ def _render_order(report) -> str:
     return f"|G| = {res['order']} = {factors}\nstatus: {report['status']}"
 
 
+# one ScanRecord as json.dumps(report, sort_keys=True, indent=2) writes it in
+# the list at report["results"]["records"]: seven sorted keys, int or bool values
+_SCAN_RECORD_JSON = (
+    '      {\n        "dim": %d,\n        "i": %d,\n        "in_window": %s,\n'
+    '        "j": %d,\n        "lhs": %d,\n        "passed": %s,\n        "rhs": %d\n      }'
+)
+_JSON_BOOL = ("false", "true")
+_NO_RECORDS = '\n    "records": []'
+
+
+def _print_json(report: dict) -> None:
+    """Print json.dumps(report, sort_keys=True, indent=2), byte for byte.
+
+    With indent set, json.dumps runs its pure-Python encoder, which costs more
+    than the scan itself for a scan's thousands of records.  So a scan report
+    goes through json.dumps with an empty record list, and its records are
+    streamed into that one place from the ScanRecord tuples by a fixed template.
+    """
+    scan = report["results"]
+    if not isinstance(scan, homology.HomologyReport):
+        print(json.dumps(report, sort_keys=True, indent=2))
+        return
+    head = report | {"results": replace(scan, records=()).to_dict()}
+    before, after = json.dumps(head, sort_keys=True, indent=2).split(_NO_RECORDS)
+    # a scan has (n + 1)(pi - 1) >= 2 records, so the list is never empty
+    write = sys.stdout.write
+    write(before + '\n    "records": [\n')
+    sep = ""
+    for j, i, dim, in_window, lhs, rhs, passed in scan.records:
+        write(sep + _SCAN_RECORD_JSON % (dim, i, _JSON_BOOL[in_window], j, lhs,
+                                         _JSON_BOOL[passed], rhs))
+        sep = ",\n"
+    write("\n    ]" + after + "\n")
+
+
 _RENDERERS = {
     "pitable": _render_pitable,
     "homology": _render_homology,
@@ -429,7 +470,7 @@ def main(argv=None) -> int:
         }
     elapsed = time.perf_counter() - started
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _print_json(report)
     else:
         if report["status"] == "error":
             print(f"error: {report['results']['error']}", file=sys.stderr)

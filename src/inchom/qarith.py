@@ -7,6 +7,7 @@ integers, factorials and binomial coefficients.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .errors import IncompatibleFieldError, InternalConsistencyError, ResourceLimitError
 
@@ -15,16 +16,15 @@ from .errors import IncompatibleFieldError, InternalConsistencyError, ResourceLi
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
+# factorize trial-divides below _TRIAL_BOUND, then splits cofactors by rho
+# within _RHO_STEPS squarings (gcds of _RHO_BATCH differences at a time)
+_TRIAL_BOUND = 1000
+_RHO_STEPS = 1 << 20
+_RHO_BATCH = 128
 
-def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for p < PRIME_BOUND; larger p raise ResourceLimitError."""
-    if p >= PRIME_BOUND:
-        raise ResourceLimitError(f"primality of {p} is decided only below {PRIME_BOUND}")
-    if p < 2:
-        return False
-    for a in _MR_BASES:
-        if p % a == 0:
-            return p == a
+
+def _strong_probable_prime(p: int) -> bool:
+    """True iff the odd p > 41 passes Miller-Rabin to every base in _MR_BASES."""
     d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -41,27 +41,93 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def factorize(m: int) -> dict[int, int]:
-    """Prime factorization {p: e} of m >= 1, ascending, by trial division.
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < PRIME_BOUND; larger p raise ResourceLimitError."""
+    if p >= PRIME_BOUND:
+        raise ResourceLimitError(f"primality of {p} is decided only below {PRIME_BOUND}")
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    return _strong_probable_prime(p)
 
-    Division stops as soon as the cofactor left is prime (by is_prime, below
-    PRIME_BOUND), so m = (small primes) * (one large prime) returns at once.
+
+def _rho_divisor(m: int) -> int | None:
+    """A divisor 1 < d < m of the composite m, or None after _RHO_STEPS steps.
+
+    Brent's variant of Pollard's rho (BIT 20, 1980) on x -> x^2 + c, seeded
+    with x0 = 2 and c = 1, 2, ... in turn, so every run takes the same path.
+    The products of _RHO_BATCH differences share one gcd; when that gcd is m,
+    the batch is walked again one difference at a time.
+    """
+    steps = 0
+    for c in range(1, _RHO_STEPS):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys, prod = y, 1
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    prod = prod * (x - y) % m
+                g = gcd(prod, m)
+                k += _RHO_BATCH
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                return None
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if g != m:
+            return g
+    return None
+
+
+def factorize(m: int) -> dict[int, int]:
+    """Prime factorization {p: e} of m >= 1, ascending.
+
+    Trial division removes the prime factors below _TRIAL_BOUND, and it stops
+    early once d * d exceeds the cofactor.  Then every cofactor is either
+    proved prime by is_prime (below PRIME_BOUND) or split by Brent's rho, so
+    no factor is ever reported prime unproved.  A composite that rho does not
+    split within _RHO_STEPS steps raises ResourceLimitError, and so does a
+    cofactor at or above PRIME_BOUND that is a strong probable prime.
     """
     if m < 1:
         raise ValueError(f"factorize needs m >= 1, got {m}")
     out = {}
-    d = 2
-    while m > 1 and not (m < PRIME_BOUND and is_prime(m)):
-        while d * d <= m and m % d:
-            d += 1
+    for d in range(2, _TRIAL_BOUND):
         if d * d > m:
             break
         while m % d == 0:
             m //= d
             out[d] = out.get(d, 0) + 1
-    if m > 1:
-        out[m] = 1
-    return out
+    pending = [m] if m > 1 else []
+    while pending:
+        c = pending.pop()
+        if c < PRIME_BOUND:
+            if is_prime(c):
+                out[c] = out.get(c, 0) + 1
+                continue
+        elif _strong_probable_prime(c):
+            # almost surely prime, so rho would spend its whole budget on it
+            raise ResourceLimitError(
+                f"{c} is a probable prime, and primality is decided only below {PRIME_BOUND}"
+            )
+        d = _rho_divisor(c)
+        if d is None:
+            raise ResourceLimitError(
+                f"the composite {c} did not split within {_RHO_STEPS} rho steps"
+            )
+        pending += [d, c // d]
+    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -7,13 +9,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import inchom
 from corpus import corpus
 from inchom import groupact, inequal
 from inchom.cli import _chain_pis, main
 from inchom.groupact import cycles_of, orbit_count_unionfind, parse_group
+from inchom.homology import HomologyTable
 from inchom.poset import PosetSpec
+from inchom.qarith import FieldSpec, is_prime
 from test_groupact import MATRIX_GROUPS
 
 # N_0..N_12 of M24 on the subsets of its 24 points
@@ -149,6 +155,72 @@ def test_other_reports_match_recorded_digests(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected[key], key
 
 
+@st.composite
+def _scans(draw):
+    """A small boolean or projective poset and a prime p < 60 not dividing its q."""
+    p = draw(st.sampled_from([p for p in range(2, 60) if is_prime(p)]))
+    if draw(st.booleans()):
+        return PosetSpec.boolean(draw(st.integers(1, 8))), p
+    q = draw(st.sampled_from([q for q in (2, 3, 4, 5, 7) if q % p]))
+    return PosetSpec.projective(draw(st.integers(1, 5)), q), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scans())
+@example((PosetSpec.boolean(5), 2))
+@example((PosetSpec.projective(4, 2), 3))
+def test_scan_json_is_json_dumps_of_the_report(scan):
+    # the record template against json.dumps of to_dict(), byte for byte
+    spec, p = scan
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["homology", spec.describe(), "-p", str(p), "--json"])
+    report = HomologyTable(spec, FieldSpec(p)).scan()
+    status = "pass" if report.passed else "fail"
+    want = json.dumps({"command": "homology", "inputs": {"poset": spec.describe(), "p": p},
+                       "results": report.to_dict(), "status": status}, sort_keys=True, indent=2)
+    assert out.getvalue() == want + "\n"
+    assert code == (0 if report.passed else 1)
+
+
+SCAN_TEXT = {
+    ("boolean:4", "3"): ["pi = 3", "10 (j,i) pairs checked, 2 with nonzero homology",
+                         "  j=2 i=1: dim=1 window=in trace 1=1",
+                         "  j=2 i=2: dim=1 window=in trace 1=1", "status: pass"],
+    ("projective:4,2", "3"): ["pi = 2", "5 (j,i) pairs checked, 1 with nonzero homology",
+                              "  j=2 i=1: dim=7 window=in trace 7=7", "status: pass"],
+}
+
+
+def test_scan_human_output(capsys):
+    for (poset, p), lines in SCAN_TEXT.items():
+        code, out, err = run(capsys, "homology", poset, "-p", p)
+        assert code == 0 and out == "\n".join(lines) + "\n" and err.endswith("s]\n")
+
+
+def _holds_records(obj) -> bool:
+    """True iff obj holds, at any depth, a non-empty value under a "records" key."""
+    if isinstance(obj, dict):
+        return bool(obj.get("records")) or any(_holds_records(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(_holds_records(v) for v in obj)
+    return False
+
+
+def test_scan_records_never_reach_json_dumps(monkeypatch, capsys):
+    real, seen = json.dumps, []
+
+    def spy(obj, *args, **kwargs):
+        seen.append(_holds_records(obj))
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    code, out, _ = run(capsys, "homology", "boolean:8", "-p", "1009", "--json")
+    monkeypatch.undo()
+    assert seen == [False]
+    assert code == 0 and len(json.loads(out)["results"]["records"]) == 9 * 1008
+
+
 def test_homology_requires_both_j_and_i(capsys):
     code, doc = run_json(capsys, "homology", "boolean:4", "-p", "3", "-j", "2")
     assert code == 2 and doc["status"] == "error"
@@ -241,6 +313,18 @@ def test_order_m24(capsys):
     res = doc["results"]
     assert res["order"] == 244823040
     assert res["factorization"] == {"2": 10, "3": 3, "5": 1, "7": 1, "11": 1, "23": 1}
+
+
+def test_order_of_a_huge_declared_order_returns(tmp_path):
+    # GL(3,2) over its closure cap, so the declared order is factorized as given
+    path = tmp_path / "semi.json"
+    path.write_text(json.dumps({
+        "kind": "matrix", "n": 3, "q": 2, "order": 1000000007 * 1000000009,
+        "generators": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]],
+    }))
+    code, doc = _cli_within(20, "order", str(path), "--max-group-order", "10")
+    assert code == 0
+    assert doc["results"]["factorization"] == {"1000000007": 1, "1000000009": 1}
 
 
 def test_error_report_for_missing_file(capsys):

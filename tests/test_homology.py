@@ -7,6 +7,7 @@ from inchom.errors import ResourceLimitError
 from inchom.homology import (
     MAX_SCAN_RECORDS,
     _index_window,
+    _initial_arrow,
     distinguished_slot,
     homology_dim,
     homology_scan,
@@ -60,6 +61,23 @@ def test_index_window_matches_set_construction():
         for i in range(1, pi):
             for j in range(-3 * pi, 3 * pi):
                 assert _index_window(j, i, pi) == _index_window_by_set(j, i, pi), (j, i, pi)
+
+
+def _initial_arrow_by_scan(j, i, pi):
+    """(a, b, d) found by scanning every consecutive pair of the index window."""
+    idx = _index_window(j, i, pi)
+    initial = [(x, y) for x, y in zip(idx, idx[1:]) if 0 <= x + y < pi]
+    assert len(initial) == 1, (j, i, pi, initial)
+    a, b = initial[0]
+    return a, b, abs(idx.index(j) - idx.index(b))
+
+
+def test_initial_arrow_matches_window_scan():
+    # slots reach below 0 and above n, so j runs past both ends
+    for pi in range(2, 40):
+        for i in range(1, pi):
+            for j in range(-3 * pi, 5 * pi + 21):
+                assert _initial_arrow(j, i, pi) == _initial_arrow_by_scan(j, i, pi), (j, i, pi)
 
 
 def test_sequence_layout_rejects_bad_i():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inchom import qarith
 from inchom.errors import IncompatibleFieldError, ResourceLimitError
 from inchom.qarith import (
     FieldSpec,
@@ -273,6 +274,51 @@ def test_factorize_round_trip(m):
     assert math.prod(p**e for p, e in factors.items()) == m
     assert all(is_prime(p) and e >= 1 for p, e in factors.items())
     assert list(factors) == sorted(factors)
+
+
+def test_factorize_splits_large_cofactors_by_rho():
+    # trial division below 1000 leaves 1063 * 2801 * 159871 * 1527007411 *
+    # 125096112091 of 7^45 - 1 for rho to split
+    assert factorize(7**45 - 1) == {2: 1, 3: 3, 19: 1, 31: 1, 37: 1, 1063: 1, 2801: 1,
+                                    159871: 1, 1527007411: 1, 125096112091: 1}
+    assert factorize(1000000007 * 1000000009) == {1000000007: 1, 1000000009: 1}
+    # above PRIME_BOUND a composite splits into parts that can be proved prime
+    m = (2**61 - 1) * 1000000007 * 1000000009
+    assert m > PRIME_BOUND
+    assert factorize(m) == {1000000007: 1, 1000000009: 1, 2**61 - 1: 1}
+    assert factorize(1009**3 * 1013**2) == {1009: 3, 1013: 2}
+
+
+def _next_prime(m):
+    while not is_prime(m):
+        m += 1
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1000, 10**8), min_size=1, max_size=4), st.integers(0, 5))
+def test_factorize_products_of_primes(starts, twos):
+    primes = [_next_prime(m) for m in starts]
+    want = {}
+    for p in primes + [2] * twos:
+        want[p] = want.get(p, 0) + 1
+    assert factorize(math.prod(primes) << twos) == dict(sorted(want.items()))
+
+
+def test_factorize_fails_fast_where_it_cannot_prove():
+    # a probable prime above PRIME_BOUND is refused at once, not given rho's budget
+    with pytest.raises(ResourceLimitError, match="probable prime"):
+        factorize(2**127 - 1)
+    with pytest.raises(ResourceLimitError, match="probable prime"):
+        factorize(6 * (2**89 - 1))
+
+
+def test_factorize_rho_budget(monkeypatch):
+    # a cofactor that does not split within the step budget is refused
+    monkeypatch.setattr(qarith, "_RHO_STEPS", 64)
+    with pytest.raises(ResourceLimitError, match="did not split"):
+        factorize(1000000007 * 1000000009)
+    assert factorize(2**20 * 3 * 1009) == {2: 20, 3: 1, 1009: 1}
 
 
 def test_factorize_stops_at_a_prime_cofactor():
