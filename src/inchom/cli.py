@@ -175,7 +175,7 @@ def cmd_orbits(args) -> dict:
     spec = poset.PosetSpec.parse(args.poset)
     if args.k is not None and not 0 <= args.k <= spec.n:
         raise ValueError(f"rank {args.k} of {spec.describe()} is empty")
-    order = groupact.group_order(g, args.max_group_order)
+    order = groupact.group_order(g)
     inputs = {"group": args.group, "poset": spec.describe(),
               "method": args.method, "k": args.k}
     results = {"order": order}
@@ -325,7 +325,7 @@ def cmd_order(args) -> dict:
     from . import groupact  # deferred: groupact loads numpy
 
     g = groupact.parse_group(_read_source(args.group), name=args.group)
-    order = groupact.group_order(g, args.max_group_order)
+    order = groupact.group_order(g)
     factors = {str(p): e for p, e in factorize(order).items()}
     return {
         "command": "order",
@@ -447,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="order of a group given by generators")
     p.add_argument("group")
-    p.add_argument("--max-group-order", type=int, default=None)
     add_json(p)
     p.set_defaults(func=cmd_order)
 

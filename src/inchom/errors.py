@@ -6,7 +6,7 @@ class IncompatibleFieldError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration or closure exceeded its configured cap."""
+    """An enumeration, search or stabilizer chain exceeded its cap or bound."""
 
 
 class InternalConsistencyError(RuntimeError):

@@ -38,17 +38,12 @@ class GF:
         self.p = p
         self.e = e
         if e == 1:
-            self._mul = None
+            self._mul = self._inv = None
         else:
             if q not in _MIN_POLY:
                 raise ValueError(f"GF({q}) is not supported (prime q or q in 4, 8, 9, 16)")
             self._mul = self._build_mul_table()
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul(a, b) == 1:
-                    self._inv[a] = b
-                    break
+            self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     def _build_mul_table(self):
         p, e = self.p, self.e
@@ -120,6 +115,8 @@ class GF:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
+        if self.e == 1:
+            return pow(a, self.p - 2, self.p)
         return self._inv[a]
 
 

@@ -1,11 +1,12 @@
 """Permutation and matrix groups acting on rank sets.
 
-Covers group parsing, exact order computation (a stabilizer chain for a
-permutation group, closure for a matrix group), cycle types, Burnside orbit
-counting over the elements listed from the chain, and generator-closure orbit
-counting on a single rank set.  The orbit counter works on numpy arrays, so
-this is the one module of the command line that loads numpy; `cli` imports it
-only for `orbits` and `order`.
+Covers group parsing, exact order computation (one stabilizer chain: on the
+points of a permutation group, on the vectors a matrix group moves the
+standard basis to), cycle types, Burnside orbit counting over the elements
+listed from the chain, and generator-closure orbit counting on a single rank
+set.  The orbit counter works on numpy arrays, so this is the one module of
+the command line that loads numpy; `cli` imports it only for `orbits` and
+`order`.
 """
 
 import json
@@ -24,6 +25,9 @@ from .errors import DataError, InternalConsistencyError, ResourceLimitError
 from .poset import PosetSpec
 
 DEFAULT_GROUP_CAP = 1_000_000
+# representative slots (orbit points times degree, summed over the levels)
+# a stabilizer chain may hold: 2**25 slots of 8 bytes are 256 MiB
+MAX_CHAIN_ENTRIES = 2**25
 
 
 def _pmul(a, b):
@@ -183,9 +187,21 @@ def _stabilizer_chain(gens, n: int) -> tuple:
     h joins the strong generators of every level whose base points it fixes
     (a new level if it fixes them all); their orbits grow in place, which
     changes no representative, and the scan resumes at the deepest of them.
+    Past MAX_CHAIN_ENTRIES stored slots it raises ResourceLimitError.
     """
     ident = _identity(n)
     base, strong, reps, tested = [], [], [], []
+    entries = 0
+
+    def store(tr, x, u):
+        nonlocal entries
+        entries += n
+        if entries > MAX_CHAIN_ENTRIES:
+            raise ResourceLimitError(
+                f"the stabilizer chain on {n} points needs {entries} representative "
+                f"slots or more, over MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
+            )
+        tr[x] = u
 
     def add(h, depth):
         """Make h, which fixes b_0..b_{depth-1}, a strong generator of levels 0..depth."""
@@ -193,7 +209,8 @@ def _stabilizer_chain(gens, n: int) -> tuple:
             b = next(i for i in range(n) if h[i] != i)
             base.append(b)
             strong.append([])
-            reps.append({b: ident})
+            reps.append({})
+            store(reps[-1], b, ident)
             tested.append(set())
         for i in range(depth + 1):
             strong[i].append(h)
@@ -201,13 +218,13 @@ def _stabilizer_chain(gens, n: int) -> tuple:
             grown = []
             for x, ux in list(tr.items()):
                 if h[x] not in tr:
-                    tr[h[x]] = _pmul(h, ux)
+                    store(tr, h[x], _pmul(h, ux))
                     grown.append(h[x])
             while grown:
                 x = grown.pop()
                 for s in strong[i]:
                     if s[x] not in tr:
-                        tr[s[x]] = _pmul(s, tr[x])
+                        store(tr, s[x], _pmul(s, tr[x]))
                         grown.append(s[x])
 
     def sift(a, b, depth):
@@ -252,72 +269,51 @@ def _stabilizer_chain(gens, n: int) -> tuple:
     return tuple(reps)
 
 
-def _matrix_mul(a, b, F):
-    n = len(a)
-    return tuple(
-        tuple(
-            _gf_dot(a[i], b, j, n, F)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+def _point_action(g: Group) -> tuple:
+    """(|P|, the permutation of P by each generator) for a matrix group g.
+
+    P is the set of vectors reached from the standard basis by applying the
+    generators (v -> g v, as in `act`).  P is finite and closed under every
+    generator, so each generator permutes it, and g acts faithfully on P
+    because P contains the basis.  The search refuses once |P|^2 exceeds
+    MAX_CHAIN_ENTRIES, the bound on the chain's slots: one level whose orbit
+    is all of P alone would take |P|^2.
+    """
+    F = gf.field(g.q)
+    n = g.degree
+    points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    index = {v: i for i, v in enumerate(points)}
+    images = [[] for _ in g.generators]
+    # points grows inside the loop; the iteration visits every point found
+    for v in points:
+        for mat, img in zip(g.generators, images):
+            w = tuple(_row_apply(v, row, F) for row in mat)
+            if w not in index:
+                index[w] = len(points)
+                points.append(w)
+                if len(points) ** 2 > MAX_CHAIN_ENTRIES:
+                    raise ResourceLimitError(
+                        f"the matrix group moves at least {len(points)} vectors, and "
+                        f"{len(points)}^2 exceeds MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
+                    )
+            img.append(index[w])
+    return len(points), tuple(map(tuple, images))
 
 
-def _gf_dot(row, b, j, n, F):
-    acc = 0
-    for t in range(n):
-        v = row[t]
-        if v:
-            acc = F.add(acc, F.mul(v, b[t][j]))
-    return acc
+def group_order(g: Group) -> int:
+    """Exact |G| from the stabilizer chain; a declared order is always checked.
 
-
-def _matrix_closure(gens, n, q, cap) -> list | None:
-    """All elements by breadth-first closure, or None once the cap is exceeded."""
-    F = gf.field(q)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    elements = {ident: None}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = _matrix_mul(m, g, F)
-                if prod not in elements:
-                    elements[prod] = None
-                    new.append(prod)
-                    if len(elements) > cap:
-                        return None
-        frontier = new
-    return list(elements)
-
-
-@lru_cache(maxsize=64)
-def _order_cached(g: Group, cap: int) -> int:
+    A permutation group's chain is on its points, a matrix group's on the
+    vectors of `_point_action`.
+    """
     if g.kind == "permutation":
-        order = prod(len(tr) for tr in _stabilizer_chain(g.generators, g.degree))
+        degree, gens = g.degree, g.generators
     else:
-        elems = _matrix_closure(g.generators, g.degree, g.q, cap)
-        if elems is None:
-            if g.declared_order is not None:
-                return g.declared_order
-            raise ResourceLimitError(
-                f"matrix group closure exceeded {cap} elements; "
-                "supply an 'order' field in the group file"
-            )
-        order = len(elems)
+        degree, gens = _point_action(g)
+    order = prod(len(tr) for tr in _stabilizer_chain(gens, degree))
     if g.declared_order is not None and g.declared_order != order:
         raise DataError(f"declared order {g.declared_order} but computed {order}")
     return order
-
-
-def group_order(g: Group, cap: int | None = None) -> int:
-    """Exact |G|; verifies any declared order whenever computation is feasible.
-
-    A permutation group's order is read from its stabilizer chain; only the
-    closure of a matrix group is capped.
-    """
-    return _order_cached(g, DEFAULT_GROUP_CAP if cap is None else cap)
 
 
 def cycle_type(perm) -> tuple:
@@ -380,7 +376,7 @@ def burnside_counts(g: Group, spec: PosetSpec, cap: int | None = None) -> OrbitS
         raise DataError("burnside_counts needs a permutation group on a boolean poset")
     _check_action(g, spec)
     limit = DEFAULT_GROUP_CAP if cap is None else cap
-    order = group_order(g, limit)
+    order = group_order(g)
     if order > limit:
         raise ResourceLimitError(f"|G| = {order} exceeds the cap {limit}")
     elements = [_identity(g.degree)]

@@ -90,15 +90,40 @@ def _rho_divisor(m: int) -> int | None:
     return None
 
 
+def _iroot(m: int, k: int) -> int:
+    """Floor of the k-th root of m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with r^k = m and k >= 2 the least such exponent, or None.
+
+    Rho needs about sqrt(p) steps to find the least prime factor p, so the
+    square of a prime above about 10^12 would exhaust its budget; an exact
+    root needs no search.
+    """
+    for k in range(2, m.bit_length()):
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factorize(m: int) -> dict[int, int]:
     """Prime factorization {p: e} of m >= 1, ascending.
 
     Trial division removes the prime factors below _TRIAL_BOUND, and it stops
     early once d * d exceeds the cofactor.  Then every cofactor is either
-    proved prime by is_prime (below PRIME_BOUND) or split by Brent's rho, so
-    no factor is ever reported prime unproved.  A composite that rho does not
-    split within _RHO_STEPS steps raises ResourceLimitError, and so does a
-    cofactor at or above PRIME_BOUND that is a strong probable prime.
+    proved prime by is_prime (below PRIME_BOUND), split into k equal parts as
+    an exact power r^k, or split by Brent's rho, so no factor is ever reported
+    prime unproved.  A composite that rho does not split within _RHO_STEPS
+    steps raises ResourceLimitError, and so does a cofactor at or above
+    PRIME_BOUND that is a strong probable prime.
     """
     if m < 1:
         raise ValueError(f"factorize needs m >= 1, got {m}")
@@ -121,6 +146,10 @@ def factorize(m: int) -> dict[int, int]:
             raise ResourceLimitError(
                 f"{c} is a probable prime, and primality is decided only below {PRIME_BOUND}"
             )
+        root = _perfect_power(c)
+        if root is not None:
+            pending += [root[0]] * root[1]
+            continue
         d = _rho_divisor(c)
         if d is None:
             raise ResourceLimitError(

@@ -44,6 +44,39 @@ def closure(gens):
     return sorted(seen)
 
 
+def matmul(a, b, F):
+    """Product of two square matrices over the field F."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = 0
+            for t in range(n):
+                acc = F.add(acc, F.mul(a[i][t], b[t][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def matrix_closure(gens, F):
+    """Every product of the invertible matrices gens over F, by breadth-first search."""
+    n = len(gens[0])
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = matmul(x, g, F)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
 def brute_classes(gens):
     """Conjugacy classes by conjugating with generators; deterministic order."""
     elements = closure(gens)

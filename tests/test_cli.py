@@ -316,15 +316,34 @@ def test_order_m24(capsys):
 
 
 def test_order_of_a_huge_declared_order_returns(tmp_path):
-    # GL(3,2) over its closure cap, so the declared order is factorized as given
+    # GL(3,2) declared with a false order: the order is computed, never trusted
     path = tmp_path / "semi.json"
     path.write_text(json.dumps({
         "kind": "matrix", "n": 3, "q": 2, "order": 1000000007 * 1000000009,
         "generators": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]],
     }))
-    code, doc = _cli_within(20, "order", str(path), "--max-group-order", "10")
-    assert code == 0
-    assert doc["results"]["factorization"] == {"1000000007": 1, "1000000009": 1}
+    code, doc = _cli_within(20, "order", str(path))
+    assert code == 2 and doc["results"]["type"] == "DataError"
+    assert "computed 168" in doc["results"]["error"]
+
+
+def test_order_over_a_large_prime_field_returns(tmp_path):
+    # diag(-1, 1) over GF(1000003); the field is built without an inverse table
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"kind": "matrix", "n": 2, "q": 1000003,
+                                "generators": [[[1000002, 0], [0, 1]]]}))
+    code, doc = _cli_within(20, "order", str(path))
+    assert code == 0 and doc["results"]["order"] == 2
+
+
+def test_order_of_a_long_cycle_is_refused(tmp_path):
+    # the chain of a 6000-cycle would hold 6000 * 6000 slots, over MAX_CHAIN_ENTRIES
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"kind": "permutation", "degree": 6000,
+                                "generators": ["(" + ",".join(map(str, range(1, 6001))) + ")"]}))
+    code, doc = _cli_within(30, "order", str(path))
+    assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
+    assert str(groupact.MAX_CHAIN_ENTRIES) in doc["results"]["error"]
 
 
 def test_error_report_for_missing_file(capsys):
@@ -368,9 +387,9 @@ def test_rank_cap_applies_to_warm_caches(capsys):
 
 
 def test_error_report_keeps_inputs_and_type(capsys):
-    code, doc = run_json(capsys, "order", "no_such_file.json", "--max-group-order", "7")
+    code, doc = run_json(capsys, "order", "no_such_file.json")
     assert code == 2
-    assert doc["inputs"] == {"group": "no_such_file.json", "max_group_order": 7}
+    assert doc["inputs"] == {"group": "no_such_file.json"}
     assert doc["results"]["type"] == "FileNotFoundError"
     code, doc = run_json(capsys, "orbits", "data:c4.json", "boolean:5")
     assert doc["inputs"] == {"group": "data:c4.json", "poset": "boolean:5", "k": None,

@@ -1,15 +1,18 @@
+import importlib
 import json
 import random
-from math import comb, factorial
+from math import comb, factorial, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import closure, corpus, pmul
+from corpus import closure, corpus, matmul, matrix_closure, pmul
 from inchom.chartab import fix_count_subsets
 from inchom.cli import data_text
+from inchom.gf import field, rref
 from inchom import groupact
 from inchom.errors import DataError, InternalConsistencyError, ResourceLimitError
 from inchom.groupact import (
@@ -139,21 +142,91 @@ def test_group_order_rejects_bad_declared():
         group_order(parse_group(json.dumps(doc)))
 
 
-def test_matrix_group_order_closure_and_cap():
-    gl32 = parse_group(json.dumps({
-        "kind": "matrix", "n": 3, "q": 2,
-        "generators": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-                       [[1, 1, 0], [0, 1, 0], [0, 0, 1]]],
-    }))
-    assert group_order(gl32) == 168
-    with pytest.raises(ResourceLimitError):
-        group_order(gl32, cap=10)
-    declared = parse_group(json.dumps({
-        "kind": "matrix", "n": 3, "q": 2, "order": 168,
-        "generators": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-                       [[1, 1, 0], [0, 1, 0], [0, 0, 1]]],
-    }))
-    assert group_order(declared, cap=10) == 168
+def _gl32(order=None):
+    doc = {"kind": "matrix", "n": 3, "q": 2,
+           "generators": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                          [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]}
+    return parse_group(json.dumps(doc | ({} if order is None else {"order": order})))
+
+
+def test_matrix_group_order_checks_the_declared_order():
+    assert group_order(_gl32()) == group_order(_gl32(168)) == 168
+    with pytest.raises(DataError, match="declared order 169 but computed 168"):
+        group_order(_gl32(169))
+
+
+@st.composite
+def matrix_groups(draw):
+    """Random invertible generators over GF(2), GF(3) or GF(4) in dimension n <= 3.
+
+    Two random generators in GL(3, 4) almost always generate the whole group,
+    whose 181,440 elements the closure oracle would list at seconds per
+    example, so there one generator is drawn.
+    """
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 3))
+    F = field(q)
+    square = st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    invertible = square.filter(lambda m: len(rref(m, n, F)) == n)
+    count = 1 if (n, q) == (3, 4) else draw(st.integers(1, 2))
+    return q, draw(st.lists(invertible, min_size=count, max_size=count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_groups())
+def test_matrix_group_order_matches_closure(case):
+    q, gens = case
+    g = parse_group(json.dumps({"kind": "matrix", "n": len(gens[0]), "q": q,
+                                "generators": gens}))
+    assert group_order(g) == len(matrix_closure(g.generators, field(q)))
+
+
+def _gl_order(n, q):
+    return prod(q**n - q**i for i in range(n))
+
+
+def test_matrix_group_orders_of_the_benchmark_groups(monkeypatch):
+    # GL(a, q) x GL(b, q) in a random basis, as the benchmark writes them,
+    # with the declared order checked; GL(3, 3)^2 has 126,157,824 elements
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(0)
+    for a, b, q in [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2), (3, 3, 3)]:
+        spec = workloads.MatrixGroup(a, b, q)
+        g = parse_group(workloads.matrix_group_file(spec, rng))
+        assert group_order(g) == _gl_order(a, q) * _gl_order(b, q) == g.declared_order
+    assert g.declared_order == 126_157_824
+
+
+def test_matrix_group_order_over_gf4_in_dimension_3():
+    # GL(3, 4) from the adjacent transvections and diag(x, 1, 1), x of order 3
+    gens = [[[int(i == j) for j in range(3)] for i in range(3)] for _ in range(5)]
+    gens[0][0][0] = 2
+    for t, (r, c) in enumerate([(0, 1), (1, 0), (1, 2), (2, 1)], start=1):
+        gens[t][r][c] = 1
+    g = parse_group(json.dumps({"kind": "matrix", "n": 3, "q": 4, "generators": gens}))
+    assert group_order(g) == _gl_order(3, 4) == 181_440
+
+
+def test_chain_bound_refuses(monkeypatch):
+    # the chain of S_8 stores 8 + 7 + ... + 2 = 35 representatives of 8 points;
+    # GL(3, 2) moves the 7 nonzero vectors of GF(2)^3, and 7^2 > 40
+    monkeypatch.setattr(groupact, "MAX_CHAIN_ENTRIES", 40)
+    groupact._stabilizer_chain.cache_clear()
+    with pytest.raises(ResourceLimitError, match="over MAX_CHAIN_ENTRIES = 40"):
+        group_order(_symmetric_on(8, 8))
+    with pytest.raises(ResourceLimitError, match="7\\^2 exceeds MAX_CHAIN_ENTRIES = 40"):
+        group_order(_gl32())
+    monkeypatch.setattr(groupact, "MAX_CHAIN_ENTRIES", 35 * 8)
+    assert group_order(_symmetric_on(8, 8)) == factorial(8)
+
+
+def test_chain_bound_admits_m24_and_s64():
+    # cold chains, so the bound is checked while they are built
+    groupact._stabilizer_chain.cache_clear()
+    assert group_order(parse_group(data_text("m24.json"))) == 244823040
+    assert group_order(_symmetric_on(64, 64)) == factorial(64)
 
 
 def test_cycle_type():
@@ -333,14 +406,10 @@ def test_act_permutation():
 
 
 def test_act_matrix_is_left_action():
-    from inchom.gf import field
-    import inchom.groupact as ga
-
     spec = PosetSpec.projective(3, 3)
-    F = field(3)
     g = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     h = ((1, 1, 0), (0, 1, 0), (0, 0, 2))
-    gh = ga._matrix_mul(g, h, F)
+    gh = matmul(g, h, field(3))
     for k in (1, 2):
         for x in enumerate_rank(spec, k)[:25]:
             assert act(gh, x, spec) == act(g, act(h, x, spec), spec)

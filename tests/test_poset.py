@@ -306,6 +306,15 @@ def test_field_axioms_sampled(q):
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
 
 
+@pytest.mark.parametrize("q", [10007, 1000003])
+def test_large_prime_field_inverses(q):
+    F = field(q)
+    for a in (1, 2, 3, q // 2, q - 2, q - 1):
+        assert F.mul(a, F.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
 def test_rref_canonicalizes():
     F = field(2)
     rows = ((1, 1, 0), (0, 1, 1))

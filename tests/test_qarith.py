@@ -321,6 +321,24 @@ def test_factorize_rho_budget(monkeypatch):
     assert factorize(2**20 * 3 * 1009) == {2: 20, 3: 1, 1009: 1}
 
 
+def test_factorize_splits_exact_powers_without_rho(monkeypatch):
+    # rho needs about sqrt(p) steps for p^2; with a budget of 64 steps only
+    # the exact root can split these
+    monkeypatch.setattr(qarith, "_RHO_STEPS", 64)
+    p = 10**12 + 39
+    assert factorize(3**60 * p**2) == {3: 60, p: 2}
+    assert factorize((2**61 - 1) ** 2) == {2**61 - 1: 2}
+    assert factorize(7 * p**3) == {7: 1, p: 3}
+    assert factorize(1000003**6) == {1000003: 6}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**40), st.integers(2, 9))
+def test_integer_root_is_the_floor(m, k):
+    r = qarith._iroot(m, k)
+    assert r**k <= m < (r + 1) ** k
+
+
 def test_factorize_stops_at_a_prime_cofactor():
     # 2^61 - 2 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 * 1321
     assert factorize(2**61 - 2) == {2: 1, 3: 2, 5: 2, 7: 1, 11: 1, 13: 1, 31: 1, 41: 1,
