@@ -4,16 +4,17 @@ Covers group parsing, exact order computation (one stabilizer chain: on the
 points of a permutation group, on the vectors a matrix group moves the
 standard basis to), cycle types, Burnside orbit counting over the elements
 listed from the chain, and generator-closure orbit counting on a single rank
-set.  The orbit counter works on numpy arrays, so this is the one module of
-the command line that loads numpy; `cli` imports it only for `orbits` and
-`order`.
+set, from a certified pair of random elements where that pays.  The orbit
+counter works on numpy arrays, so this is the one module of the command line
+that loads numpy; `cli` imports it only for `orbits` and `order`.
 """
 
 import json
+import random
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
 from operator import itemgetter
 
@@ -28,6 +29,8 @@ DEFAULT_GROUP_CAP = 1_000_000
 # representative slots (orbit points times degree, summed over the levels)
 # a stabilizer chain may hold: 2**25 slots of 8 bytes are 256 MiB
 MAX_CHAIN_ENTRIES = 2**25
+# random pairs the orbit counter draws in a group before it keeps the input generators
+GENERATOR_DRAWS = 20
 
 
 def _pmul(a, b):
@@ -270,7 +273,7 @@ def _stabilizer_chain(gens, n: int) -> tuple:
 
 
 def _point_action(g: Group) -> tuple:
-    """(|P|, the permutation of P by each generator) for a matrix group g.
+    """(P, the permutation of P by each generator) for a matrix group g.
 
     P is the set of vectors reached from the standard basis by applying the
     generators (v -> g v, as in `act`).  P is finite and closed under every
@@ -297,7 +300,7 @@ def _point_action(g: Group) -> tuple:
                         f"{len(points)}^2 exceeds MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
                     )
             img.append(index[w])
-    return len(points), tuple(map(tuple, images))
+    return tuple(points), tuple(map(tuple, images))
 
 
 def group_order(g: Group) -> int:
@@ -309,11 +312,94 @@ def group_order(g: Group) -> int:
     if g.kind == "permutation":
         degree, gens = g.degree, g.generators
     else:
-        degree, gens = _point_action(g)
+        points, gens = _point_action(g)
+        degree = len(points)
     order = prod(len(tr) for tr in _stabilizer_chain(gens, degree))
     if g.declared_order is not None and g.declared_order != order:
         raise DataError(f"declared order {g.declared_order} but computed {order}")
     return order
+
+
+def _counting_generators(g: Group, size: int) -> tuple:
+    """Generators of G to count orbits on a rank set of `size` elements with.
+
+    Orbit counts depend only on the group generated, and each generator costs
+    one index map over the rank set.  So a group of more than two generators
+    is replaced by the first of the seeded random pairs (`_drawn_pair`) that
+    generates it.  A draw builds one certification chain, as large as G's
+    when it succeeds: Schreier-Sims sifts a Schreier generator for each orbit
+    point and strong generator of a level (up to one strong generator per
+    level below it), each through up to every level, so a draw is counted as
+    the slots of G's chain times its levels squared.  A rank draws only while
+    the draws' count stays within the (generators - 2) x size index-map
+    elements a pair saves, and at most GENERATOR_DRAWS times.  G's own chain
+    is not built while the slots of its first level alone exceed that saving.  Without an accepted pair, or
+    when G's chain is over its bound, the input generators are kept.  A
+    matrix group draws among the permutations of P (`_point_action`); the
+    matrix of a drawn permutation x has column c equal to the point x(e_c),
+    P's first n points being the standard basis e_0..e_{n-1}.
+    """
+    if len(g.generators) <= 2:
+        return g.generators
+    saving = (len(g.generators) - 2) * size
+    try:
+        points, perms = _permutation_form(g)
+        if saving < len(points) * _first_orbit_size(perms):
+            return g.generators
+        chain = _stabilizer_chain(perms, len(points))
+    except ResourceLimitError:
+        return g.generators
+    work = len(points) * sum(map(len, chain)) * len(chain) ** 2
+    draws = min(GENERATOR_DRAWS, saving // max(1, work))
+    pair = next(filter(None, (_drawn_pair(perms, len(points), i) for i in range(draws))), None)
+    if pair is None:
+        return g.generators
+    if g.kind == "permutation":
+        return pair
+    n = g.degree
+    return tuple(tuple(tuple(points[x[c]][r] for c in range(n)) for r in range(n))
+                 for x in pair)
+
+
+@lru_cache(maxsize=8)
+def _permutation_form(g: Group) -> tuple:
+    """(the points G acts on, the generators as permutations of them)."""
+    if g.kind == "permutation":
+        return range(g.degree), g.generators
+    return _point_action(g)
+
+
+def _first_orbit_size(perms) -> int:
+    """Size of the first level of the chain of <perms>: the orbit of the first point moved."""
+    start = next((i for h in perms for i, hi in enumerate(h) if hi != i), None)
+    if start is None:
+        return 0
+    orbit = {start}
+    frontier = [start]
+    for x in frontier:
+        for h in perms:
+            if h[x] not in orbit:
+                orbit.add(h[x])
+                frontier.append(h[x])
+    return len(orbit)
+
+
+@lru_cache(maxsize=4 * GENERATOR_DRAWS)
+def _drawn_pair(perms, degree: int, draw: int):
+    """Pair number `draw` of random elements of G = <perms>, or None unless it generates G.
+
+    Each element is a product u_0 u_1 ... of one coset representative per
+    level of G's chain, chosen uniformly by a random.Random seeded with the
+    draw number, so it is uniform in G and the same in every process.  The
+    pair is accepted when the chain of <x, y> has order |G|.  That chain is
+    built uncached, so the draws never evict G's own.
+    """
+    chain = _stabilizer_chain(perms, degree)
+    rng = random.Random(draw)
+    x, y = (reduce(_pmul, [rng.choice(list(tr.values())) for tr in chain], _identity(degree))
+            for _ in range(2))
+    certified = _stabilizer_chain.__wrapped__((x, y), degree)
+    return (x, y) if prod(map(len, certified)) == prod(map(len, chain)) else None
 
 
 def cycle_type(perm) -> tuple:
@@ -396,9 +482,8 @@ def burnside_counts(g: Group, spec: PosetSpec, cap: int | None = None) -> OrbitS
     return OrbitSeries(n=n, values=tuple(values))
 
 
-@lru_cache(maxsize=1)
 def _bool_mask_array(n: int, k: int) -> np.ndarray:
-    """All n-bit masks of weight k, ascending, as uint64."""
+    """All n-bit masks of weight k, ascending, as uint64; built per call, never cached."""
     if n > 63:
         raise ResourceLimitError(f"boolean enumeration is limited to n <= 63, got n = {n}")
     if k < 0 or k > n:
@@ -577,27 +662,30 @@ def _propagate_labels(size: int, maps) -> int:
 def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = None) -> int:
     """Exact number of generator-closure orbits on the rank-k elements.
 
-    Each generator becomes an index map on the rank set, built once:
-    byte-table images ranked in colex order for subsets, `act` plus the
-    canonical-form index for subspaces.  `_count_components` counts the
-    orbits of the maps: breadth-first search while the orbits are large, one
-    label propagation over the whole rank set once they turn small.
+    Each generator of `_counting_generators` (a certified pair where that
+    pays, else the input generators) becomes an index map on the rank set,
+    built once: byte-table images ranked in colex order for subsets, `act`
+    plus the canonical-form index for subspaces.  `_count_components` counts
+    the orbits of the maps: breadth-first search while the orbits are large,
+    one label propagation over the whole rank set once they turn small.
     """
     _check_action(g, spec)
     size = poset._check_cap(spec, k, cap)
     if size == 0:
         raise ValueError(f"rank {k} of {spec.describe()} is empty")
 
+    gens = _counting_generators(g, size)
     if spec.kind == "boolean":
         masks = _bool_mask_array(spec.n, k)
-        maps = [_boolean_index_map(masks, perm, k) for perm in g.generators]
+        maps = [_boolean_index_map(masks, perm, k) for perm in gens]
+        del masks  # the counter needs only the maps: 8 bytes per element fewer at its peak
     else:
         elements = poset._proj_elements(spec, k)
         index = poset._proj_index(spec, k)
         maps = [
             np.fromiter((index[act(mat, x, spec)] for x in elements),
                         dtype=_index_dtype(size), count=size)
-            for mat in g.generators
+            for mat in gens
         ]
     return _count_components(size, maps)
 

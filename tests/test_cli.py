@@ -4,8 +4,10 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import inchom
 from corpus import corpus
 from inchom import groupact, inequal
-from inchom.cli import _chain_pis, main
+from inchom.cli import _chain_pis, data_text, main
 from inchom.groupact import cycles_of, orbit_count_unionfind, parse_group
 from inchom.homology import HomologyTable
 from inchom.poset import PosetSpec
@@ -556,6 +558,11 @@ def test_only_orbit_counting_loads_numpy():
     assert got == {"codes": [0] * len(calls), "numpy": False}
     got = _fresh_python(_CALLS_THEN_NUMPY, json.dumps([["orbits", "data:c4.json", "boolean:4"]]))
     assert got == {"codes": [0], "numpy": True}
+    # the start-up import graph: `import inchom.cli` loads exactly these
+    got = _fresh_python("import json, sys, inchom.cli; print(json.dumps(sorted("
+                        "m for m in sys.modules if m.split('.')[0] in ('inchom', 'numpy'))))")
+    assert got == ["inchom", "inchom.chartab", "inchom.cli", "inchom.errors", "inchom.gf",
+                   "inchom.homology", "inchom.inequal", "inchom.poset", "inchom.qarith"]
 
 
 # every name the package exported while it imported gfpla and groupact eagerly,
@@ -589,3 +596,50 @@ def test_package_exports_load_on_first_use():
         inchom.no_such_name
     with pytest.raises(ImportError):
         exec("from inchom import no_such_name", {})
+
+
+def test_method_both_builds_the_group_chain_once(monkeypatch, tmp_path, capsys):
+    # C_2^3 on 18 points is not 2-generated, so every pair drawn fails: the
+    # ranks draw 20 pairs in all, and their certification chains must not push
+    # the group's own chain out of the cache before Burnside reads it
+    builds = []
+    build = groupact._stabilizer_chain.__wrapped__
+
+    def building(gens, n):
+        builds.append(gens)
+        return build(gens, n)
+
+    monkeypatch.setattr(groupact, "_stabilizer_chain", lru_cache(maxsize=8)(building))
+    groupact._drawn_pair.cache_clear()
+    path = tmp_path / "c2cubed.json"
+    path.write_text(json.dumps({"kind": "permutation", "degree": 18,
+                                "generators": ["(1,2)", "(3,4)", "(5,6)"]}))
+    code, doc = run_json(capsys, "orbits", str(path), "boolean:18", "--method", "both")
+    assert code == 0 and doc["results"]["methods_agree"]
+    assert builds.count(parse_group(path.read_text()).generators) == 1
+    assert len(builds) == 1 + groupact.GENERATOR_DRAWS
+
+
+_DRAWN_PAIRS = """
+import json, sys
+from inchom import groupact
+groups = [groupact.parse_group(text) for text in json.loads(sys.argv[1])]
+pairs = [groupact._counting_generators(g, 10**9) for g in groups]
+groupact._drawn_pair.cache_clear()
+groupact._permutation_form.cache_clear()
+warm = [groupact._counting_generators(g, 10**9) for g in reversed(groups)][::-1]
+print(json.dumps([pairs, warm]))
+"""
+
+
+def test_the_same_pair_comes_back_in_a_fresh_process(monkeypatch):
+    # M24 accepts its first pair; GL(3, 3) x GL(2, 3) rejects a few first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    texts = [data_text("m24.json"),
+             workloads.matrix_group_file(workloads.MatrixGroup(3, 2, 3), random.Random(0))]
+    here = json.loads(json.dumps([groupact._counting_generators(groupact.parse_group(t), 10**9)
+                                  for t in texts]))
+    cold, warm = _fresh_python(_DRAWN_PAIRS, json.dumps(texts))
+    assert cold == warm == here
+    assert [len(pair) for pair in here] == [2, 2]

@@ -1,7 +1,10 @@
 import importlib
+import itertools
 import json
 import random
-from math import comb, factorial, prod
+from dataclasses import replace
+from functools import reduce
+from math import comb, factorial, gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -600,3 +603,276 @@ def test_m24_counts_without_label_propagation(monkeypatch):
     for k in range(9):
         fixed = sum(order // c * fix_count_subsets(t, k) for t, c in M24_CLASSES)
         assert orbit_count_unionfind(g, spec, k) * order == fixed, k
+
+
+# ---------------------------------------------------------------- the counting pair
+
+
+@pytest.fixture
+def draw_spy(monkeypatch):
+    """Record the number of every pair draw the orbit counter asks for."""
+    draws = []
+    drawn = groupact._drawn_pair
+
+    def drawing(perms, degree, draw):
+        draws.append(draw)
+        return drawn(perms, degree, draw)
+
+    monkeypatch.setattr(groupact, "_drawn_pair", drawing)
+    return draws
+
+
+def _benchmark_matrix_group(a, b, q):
+    """GL(a, q) x GL(b, q) in a random basis, as the benchmark writes it, and its spec."""
+    workloads = importlib.import_module("workloads")
+    spec = workloads.MatrixGroup(a, b, q)
+    return parse_group(workloads.matrix_group_file(spec, random.Random(0))), spec
+
+
+@pytest.fixture
+def benchmark_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+
+def _input_counts(g, spec):
+    """Orbit counts on every rank from the input generators: drawing switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groupact, "GENERATOR_DRAWS", 0)
+        return [orbit_count_unionfind(g, spec, k) for k in range(spec.n + 1)]
+
+
+def _padded(g, words):
+    """g with the products of its generators named by each word added as generators."""
+    if g.kind == "permutation":
+        mul, spec = pmul, PosetSpec.boolean(g.degree)
+    else:
+        F = field(g.q)
+        mul, spec = (lambda a, b: matmul(a, b, F)), PosetSpec.projective(g.degree, g.q)
+    extra = tuple(reduce(mul, (g.generators[i % len(g.generators)] for i in w)) for w in words)
+    return replace(g, generators=g.generators + extra, declared_order=None), spec
+
+
+def _test_groups():
+    """Every corpus group and every matrix group of these tests."""
+    groups = [g for _, g, _, _, _ in corpus()]
+    groups += [parse_group(json.dumps({"kind": "matrix", "n": n, "q": q, "generators": gens}))
+               for n, q, gens in MATRIX_GROUPS]
+    return groups
+
+
+def _assert_reduction_keeps_counts(g, spec):
+    reduced = groupact._counting_generators(g, 10**9)
+    assert len(reduced) <= len(g.generators)
+    pair = replace(g, generators=reduced)
+    assert [orbit_count_unionfind(pair, spec, k) for k in range(spec.n + 1)] == _input_counts(g, spec)
+    return reduced
+
+
+def test_counts_from_the_reduced_set_on_every_test_group():
+    reduced = 0
+    for g in _test_groups():
+        padded, spec = _padded(g, [(0, 1), (1, 0, 1), (0, 0)])
+        reduced += len(_assert_reduction_keeps_counts(padded, spec)) == 2
+    # every one of these groups is 2-generated: the trivial group, cyclic and
+    # dihedral groups, S_n, A_n, and the matrix groups
+    assert reduced == len(_test_groups())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(),
+       st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4), min_size=1, max_size=3))
+def test_counts_from_the_reduced_set_equal_counts_from_the_input(data, words):
+    _assert_reduction_keeps_counts(*_padded(data.draw(st.sampled_from(_test_groups())), words))
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_groups(10))
+def test_reduction_of_random_permutation_groups(gens):
+    # three random supports need not give a 2-generated group; either way the
+    # counts must not move
+    g = Group(kind="permutation", degree=len(gens[0]), generators=tuple(gens))
+    _assert_reduction_keeps_counts(g, PosetSpec.boolean(g.degree))
+
+
+def _elementary_abelian_2(m, n=None):
+    """C_2^m by m disjoint transpositions on n >= 2m points (2m by default)."""
+    return tuple(tuple(4 * i + 1 - j if j in (2 * i, 2 * i + 1) else j
+                       for j in range(n or 2 * m)) for i in range(m))
+
+
+def _dihedral_square():
+    """D10 x D10 on 20 points: a rotation and a reflection of each decagon."""
+    rot = tuple((i + 1) % 10 for i in range(10))
+    refl = tuple((-i) % 10 for i in range(10))
+    left = [x + tuple(range(10, 20)) for x in (rot, refl)]
+    right = [tuple(range(10)) + tuple(10 + v for v in x) for x in (rot, refl)]
+    return tuple(left + right)
+
+
+def test_groups_that_are_not_two_generated_keep_their_generators(draw_spy):
+    # C_2^4 and D10 x D10 (abelianized to C_2^4) need four generators
+    for gens in (_elementary_abelian_2(4), _dihedral_square()):
+        g = Group(kind="permutation", degree=len(gens[0]), generators=gens)
+        draw_spy.clear()
+        assert groupact._counting_generators(g, 10**9) is g.generators
+        assert draw_spy == list(range(groupact.GENERATOR_DRAWS))
+    # counting on 12 points, the middle ranks draw
+    draw_spy.clear()
+    g = Group(kind="permutation", degree=12, generators=_elementary_abelian_2(4, 12))
+    spec = PosetSpec.boolean(12)
+    assert ([orbit_count_unionfind(g, spec, k) for k in range(13)]
+            == list(burnside_counts(g, spec).values))
+    assert 0 < len(draw_spy) and max(draw_spy) < groupact.GENERATOR_DRAWS
+
+
+def test_draws_only_while_they_pay(draw_spy):
+    # M24's chain holds 24 + 23 + 22 + 21 + 20 + 16 + 3 = 129 representatives
+    # of 24 points on 7 levels; with 3 generators a pair saves one map of
+    # C(24, k) elements, so ranks 0..6 draw nothing; the first pair drawn
+    # generates M24
+    g = parse_group(data_text("m24.json"))
+    chain = groupact._stabilizer_chain(g.generators, 24)
+    work = 24 * sum(map(len, chain)) * len(chain) ** 2
+    assert work == 24 * 129 * 7**2
+    for k in range(13):
+        draw_spy.clear()
+        gens = groupact._counting_generators(g, comb(24, k))
+        assert draw_spy == ([0] if comb(24, k) >= work else []), k
+        assert len(gens) == (2 if k >= 7 else 3), k
+    # C_2^4 on 8 points is not 2-generated, and its chain holds 2 + 2 + 2 + 2
+    # representatives on 4 levels: it draws only as often as that pays
+    g = Group(kind="permutation", degree=8, generators=_elementary_abelian_2(4))
+    work = 8 * 8 * 4**2
+    for allowed in range(4):
+        draw_spy.clear()
+        assert groupact._counting_generators(g, allowed * work // 2 + 1) is g.generators
+        assert draw_spy == list(range(allowed))
+
+
+def test_groups_with_two_generators_never_draw(draw_spy):
+    spec = PosetSpec.boolean(8)
+    for gens in [(), (tuple(range(8)),), (tuple((i + 1) % 8 for i in range(8)),),
+                 _symmetric_on(8, 8).generators]:
+        g = Group(kind="permutation", degree=8, generators=gens)
+        assert groupact._counting_generators(g, 10**9) is g.generators
+        assert [orbit_count_unionfind(g, spec, k) for k in range(9)]
+    g = parse_group(data_text("s4.json"))
+    assert groupact._counting_generators(g, 10**9) is g.generators
+    assert draw_spy == []
+
+
+def test_certification_compares_orders(benchmark_path, draw_spy):
+    # the determinant maps GL(3, 3) x GL(2, 3) onto C_2 x C_2, so many random
+    # pairs generate proper subgroups: the first pairs drawn here do
+    g, spec = _benchmark_matrix_group(3, 2, 3)
+    reduced = groupact._counting_generators(g, 10**9)
+    assert len(g.generators) == 8 and len(reduced) == 2
+    assert draw_spy[-1] > 0
+    pair = replace(g, generators=reduced, declared_order=None)
+    assert group_order(pair) == g.declared_order == spec.order
+    poset_spec = PosetSpec.projective(5, 3)
+    assert [orbit_count_unionfind(pair, poset_spec, k) for k in range(6)] == list(spec.series)
+    # every rejected pair generates a subgroup of smaller order
+    for draw in draw_spy[:-1]:
+        x, y = _drawn_elements(g, draw)
+        assert group_order(replace(g, generators=(x, y), declared_order=None)) < spec.order
+
+
+def _drawn_elements(g, draw):
+    """The matrices of draw number `draw`, made as the counter makes them."""
+    points, perms = groupact._permutation_form(g)
+    chain = groupact._stabilizer_chain(perms, len(points))
+    rng = random.Random(draw)
+    n = g.degree
+    out = []
+    for _ in range(2):
+        x = reduce(pmul, [rng.choice(list(tr.values())) for tr in chain], tuple(range(len(points))))
+        out.append(tuple(tuple(points[x[c]][r] for c in range(n)) for r in range(n)))
+    return out
+
+
+# ---------------------------------------------------------------- the Singer-cycle oracle
+
+
+def _gaussian(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _mobius(m):
+    out, p = 1, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def singer_orbit_counts(n, q):
+    """N_0..N_n of a Singer cycle on the subspaces of GF(q)^n, in closed form.
+
+    The cycle is GF(q^n)^* acting on GF(q^n), N = (q^n - 1)/(q - 1) points of
+    projective space once scalars are divided out.  An element fixes a
+    subspace exactly when the subspace is a vector space over the subfield
+    GF(q^e) the element generates, e | n, which needs e | k; c_e counts those
+    elements, divided by q - 1, by Moebius inversion over the subfields.
+    Burnside gives N_k = (1/N) sum over e | gcd(n, k) of c_e [n/e, k/e]_{q^e}.
+    """
+    big = (q**n - 1) // (q - 1)
+
+    def c(e):
+        return sum(_mobius(e // f) * (q**f - 1) // (q - 1) for f in range(1, e + 1) if e % f == 0)
+
+    out = []
+    for k in range(n + 1):
+        total = sum(c(e) * _gaussian(n // e, k // e, q**e)
+                    for e in range(1, n + 1) if gcd(n, k) % e == 0)
+        assert total % big == 0, (n, q, k)
+        out.append(total // big)
+    return out
+
+
+def _singer_cycle(n, q):
+    """A companion matrix whose powers move e_0 through all q^n - 1 nonzero vectors."""
+    F = field(q)
+    for column in itertools.product(range(q), repeat=n):
+        if not column[0]:
+            continue
+        # C e_i = e_{i+1} for i < n - 1, and C e_{n-1} = column
+        mat = [[int(r == c + 1) for c in range(n - 1)] + [column[r]] for r in range(n)]
+        v, steps = (1,) + (0,) * (n - 1), 0
+        while True:
+            v = tuple(reduce(F.add, (F.mul(a, b) for a, b in zip(row, v)), 0) for row in mat)
+            steps += 1
+            if v == (1,) + (0,) * (n - 1):
+                break
+        if steps == q**n - 1:
+            return mat
+    raise AssertionError(f"no Singer cycle found for GF({q})^{n}")
+
+
+def test_singer_closed_form_by_hand():
+    assert singer_orbit_counts(7, 2)[2:4] == [21, 93]
+    assert singer_orbit_counts(8, 2)[2:5] == [43, 381, 791]
+    for n, q in [(6, 2), (7, 3), (9, 4), (12, 2)]:
+        series = singer_orbit_counts(n, q)
+        assert series == series[::-1] and series[0] == series[1] == 1, (n, q)
+
+
+@pytest.mark.parametrize("n,q,top", [(6, 2, 6), (7, 2, 3), (4, 3, 4), (4, 4, 4)])
+def test_singer_cycle_counts_match_the_closed_form(draw_spy, n, q, top):
+    g = parse_group(json.dumps({"kind": "matrix", "n": n, "q": q,
+                                "generators": [_singer_cycle(n, q)]}))
+    assert group_order(g) == q**n - 1
+    spec = PosetSpec.projective(n, q)
+    want = singer_orbit_counts(n, q)
+    assert [orbit_count_unionfind(g, spec, k) for k in range(top + 1)] == want[: top + 1]
+    # one generator: the counter never draws, and never uses more generators
+    assert groupact._counting_generators(g, 10**9) is g.generators
+    assert draw_spy == []
