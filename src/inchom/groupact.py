@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import prod
+from math import comb, prod
 from operator import itemgetter
 
 import numpy as np
@@ -294,27 +294,38 @@ def _point_action(g: Group) -> tuple:
             if w not in index:
                 index[w] = len(points)
                 points.append(w)
-                if len(points) ** 2 > MAX_CHAIN_ENTRIES:
-                    raise ResourceLimitError(
-                        f"the matrix group moves at least {len(points)} vectors, and "
-                        f"{len(points)}^2 exceeds MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
-                    )
+                _check_point_count(len(points))
             img.append(index[w])
     return tuple(points), tuple(map(tuple, images))
+
+
+def _check_point_count(count: int):
+    if count**2 > MAX_CHAIN_ENTRIES:
+        raise ResourceLimitError(
+            f"the matrix group moves at least {count} vectors, and "
+            f"{count}^2 exceeds MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
+        )
+
+
+@lru_cache(maxsize=8)
+def _permutation_form(g: Group) -> tuple:
+    """(the points G acts on, the generators as permutations of them)."""
+    if g.kind == "permutation":
+        return range(g.degree), g.generators
+    return _point_action(g)
 
 
 def group_order(g: Group) -> int:
     """Exact |G| from the stabilizer chain; a declared order is always checked.
 
     A permutation group's chain is on its points, a matrix group's on the
-    vectors of `_point_action`.
+    vectors of `_point_action`, read from the cached `_permutation_form`; the
+    bound on those vectors is checked on every call, cached or not.
     """
-    if g.kind == "permutation":
-        degree, gens = g.degree, g.generators
-    else:
-        points, gens = _point_action(g)
-        degree = len(points)
-    order = prod(len(tr) for tr in _stabilizer_chain(gens, degree))
+    points, perms = _permutation_form(g)
+    if g.kind == "matrix":
+        _check_point_count(len(points))
+    order = prod(len(tr) for tr in _stabilizer_chain(perms, len(points)))
     if g.declared_order is not None and g.declared_order != order:
         raise DataError(f"declared order {g.declared_order} but computed {order}")
     return order
@@ -324,17 +335,18 @@ def _counting_generators(g: Group, size: int) -> tuple:
     """Generators of G to count orbits on a rank set of `size` elements with.
 
     Orbit counts depend only on the group generated, and each generator costs
-    one index map over the rank set.  So a group of more than two generators
-    is replaced by the first of the seeded random pairs (`_drawn_pair`) that
-    generates it.  A draw builds one certification chain, as large as G's
+    one image per element of the rank set.  So a group of more than two
+    generators is replaced by the first of the seeded random pairs
+    (`_drawn_pair`) that generates it.  A draw builds one certification chain, as large as G's
     when it succeeds: Schreier-Sims sifts a Schreier generator for each orbit
     point and strong generator of a level (up to one strong generator per
     level below it), each through up to every level, so a draw is counted as
     the slots of G's chain times its levels squared.  A rank draws only while
-    the draws' count stays within the (generators - 2) x size index-map
-    elements a pair saves, and at most GENERATOR_DRAWS times.  G's own chain
-    is not built while the slots of its first level alone exceed that saving.  Without an accepted pair, or
-    when G's chain is over its bound, the input generators are kept.  A
+    the draws' count stays within the (generators - 2) x size images a pair
+    saves, and at most GENERATOR_DRAWS times.  G's own chain is not built
+    while the slots of its first level alone exceed that saving.  Without an
+    accepted pair, or when G's chain is over its bound, the input generators
+    are kept.  A
     matrix group draws among the permutations of P (`_point_action`); the
     matrix of a drawn permutation x has column c equal to the point x(e_c),
     P's first n points being the standard basis e_0..e_{n-1}.
@@ -359,14 +371,6 @@ def _counting_generators(g: Group, size: int) -> tuple:
     n = g.degree
     return tuple(tuple(tuple(points[x[c]][r] for c in range(n)) for r in range(n))
                  for x in pair)
-
-
-@lru_cache(maxsize=8)
-def _permutation_form(g: Group) -> tuple:
-    """(the points G acts on, the generators as permutations of them)."""
-    if g.kind == "permutation":
-        return range(g.degree), g.generators
-    return _point_action(g)
 
 
 def _first_orbit_size(perms) -> int:
@@ -482,10 +486,14 @@ def burnside_counts(g: Group, spec: PosetSpec, cap: int | None = None) -> OrbitS
     return OrbitSeries(n=n, values=tuple(values))
 
 
-def _bool_mask_array(n: int, k: int) -> np.ndarray:
-    """All n-bit masks of weight k, ascending, as uint64; built per call, never cached."""
+def _check_mask_width(n: int):
     if n > 63:
         raise ResourceLimitError(f"boolean enumeration is limited to n <= 63, got n = {n}")
+
+
+def _bool_mask_array(n: int, k: int) -> np.ndarray:
+    """All n-bit masks of weight k, ascending, as uint64; built per call, never cached."""
+    _check_mask_width(n)
     if k < 0 or k > n:
         return np.zeros(0, dtype=np.uint64)
     # row-by-row merge; only the anti-diagonal band feeding (n, k) is kept
@@ -505,7 +513,18 @@ def _bool_mask_array(n: int, k: int) -> np.ndarray:
     return row[k]
 
 
-# masks per block of the boolean image stage; bounds the temporaries, not the result
+def _colex_unrank(rank: int, n: int, k: int) -> int:
+    """The weight-k n-bit mask at position `rank` in colex order, chosen bit by bit from the top."""
+    mask = 0
+    for c in reversed(range(n)):
+        if k and comb(c, k) <= rank:
+            rank -= comb(c, k)
+            mask |= 1 << c
+            k -= 1
+    return mask
+
+
+# elements per block of an index-map build or a search level; bounds the temporaries
 _BLOCK = 1 << 14
 
 
@@ -522,7 +541,8 @@ def _colex_tables(nbytes: int):
     j + m) over the m-th set bit t of v.  Rows are 256 apart, so a byte moves
     the row offset on by 256 times its popcount.  The position of a weight-k
     mask among all weight-k masks in ascending order (which is colex order)
-    is the sum of its bytes' entries.
+    is the sum of its bytes' entries.  Both tables pass `_check_colex_tables`
+    before they are used.
     """
     width = 8 * nbytes
     binom = np.zeros((width, width + 9), dtype=np.int64)
@@ -533,8 +553,38 @@ def _colex_tables(nbytes: int):
     below = np.cumsum(bits, axis=1) - bits
     c = 8 * np.arange(nbytes)[:, None, None, None] + np.arange(8)
     r = np.arange(width)[:, None, None] + below + 1
-    table = (binom[c, r] * bits).sum(axis=3)
-    return table.reshape(nbytes, width * 256), 256 * bits.sum(axis=1)
+    table = (binom[c, r] * bits).sum(axis=3).reshape(nbytes, width * 256)
+    step = 256 * bits.sum(axis=1)
+    _check_colex_tables(table, step)
+    return table, step
+
+
+def _check_colex_tables(table: np.ndarray, step: np.ndarray):
+    """Raise InternalConsistencyError unless every entry of the colex tables is exact.
+
+    Each entry is recomputed from math.comb, adding the term of one bit of
+    the byte value at a time, and each row step from the bits counted on the
+    way.  An entry sums at most eight binomials C(c, r) with c < 64, each at
+    most C(63, 31) < 2^63 / 8, so int64 holds it.  Exact tables make every
+    rank read from them exact, which is what lets `_ranked_images` trust a
+    rank without looking up the mask stored there.
+    """
+    nbytes = table.shape[0]
+    width = 8 * nbytes
+    binom = np.array([[comb(c, r) for r in range(width + 9)] for c in range(width)],
+                     dtype=np.int64)
+    values = np.arange(256)
+    rows = np.arange(width)[:, None]
+    want = np.zeros((nbytes, width, 256), dtype=np.int64)
+    below = np.zeros(256, dtype=np.int64)  # bits of each value below bit t
+    for t in range(8):
+        bit = (values >> t) & 1
+        c = 8 * np.arange(nbytes)[:, None, None] + t
+        want += bit * binom[c, rows + below + 1]
+        below += bit
+    if not (np.array_equal(table, want.reshape(nbytes, width * 256))
+            and np.array_equal(step, 256 * below)):
+        raise InternalConsistencyError(f"the {nbytes}-byte colex rank tables are not exact")
 
 
 def _byte_images(perm, nbytes: int) -> np.ndarray:
@@ -547,49 +597,116 @@ def _byte_images(perm, nbytes: int) -> np.ndarray:
     )
 
 
+def _ranked_images(images: np.ndarray, masks: np.ndarray, k: int, size: int) -> tuple:
+    """(the images of masks under one permutation, their colex ranks).
+
+    `images` is the permutation's `_byte_images`: the image of a mask is the
+    OR of one lookup per byte, and its rank the sum of one `_colex_tables`
+    entry per byte of the image.  Every image must have weight k (the row
+    offset ends at 256 k) and a rank inside 0..size-1, or the count stops
+    with InternalConsistencyError: a point sent to n or beyond, or two
+    points of a mask sent to one, fails here.  The tables are exact, so an
+    image that passes is the weight-k mask stored at its rank.
+    """
+    nbytes = len(images)
+    colex, step = _colex_tables(nbytes)
+    # little-endian views: column b of the byte view holds bits 8b..8b+7
+    src = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    img = images[0].take(src[:, 0])
+    for b in range(1, nbytes):
+        img |= images[b].take(src[:, b])
+    dst = img.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    idx = colex[0].take(dst[:, 0])
+    row = step.take(dst[:, 0])
+    for b in range(1, nbytes):
+        idx += colex[b].take(row + dst[:, b])
+        row += step.take(dst[:, b])
+    # table entries are never negative, so idx >= 0 holds already
+    if not ((row == 256 * k) & (idx < size)).all():
+        raise InternalConsistencyError("permutation image left the rank set")
+    return img, idx
+
+
 def _boolean_index_map(masks: np.ndarray, perm, k: int) -> np.ndarray:
     """Positions in masks (all weight-k masks, ascending) of the images of masks under perm."""
     size = masks.size
-    nbytes = (len(perm) + 7) // 8
-    colex, step = _colex_tables(nbytes)
-    images = _byte_images(perm, nbytes)
+    images = _byte_images(perm, (len(perm) + 7) // 8)
     out = np.empty(size, dtype=_index_dtype(size))
-    # little-endian views: column b of the byte view holds bits 8b..8b+7
     for s in range(0, size, _BLOCK):
-        src = masks[s : s + _BLOCK].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        img = np.take(images[0], src[:, 0])
-        for b in range(1, nbytes):
-            img |= np.take(images[b], src[:, b])
-        dst = img.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        idx = np.take(colex[0], dst[:, 0])
-        row = np.take(step, dst[:, 0])
-        for b in range(1, nbytes):
-            idx += np.take(colex[b], row + dst[:, b])
-            row += np.take(step, dst[:, b])
-        inside = (row == 256 * k) & (idx >= 0) & (idx < size)
-        if not inside.all() or not np.array_equal(np.take(masks, idx), img):
-            raise InternalConsistencyError("permutation image left the rank set")
-        out[s : s + _BLOCK] = idx
+        out[s : s + _BLOCK] = _ranked_images(images, masks[s : s + _BLOCK], k, size)[1]
     return out
 
 
-def _count_components(size: int, maps) -> int:
-    """Number of orbits on 0..size-1 of the group generated by the index maps.
+class _IndexMaps:
+    """Generators given as index maps: an element is carried as its own index."""
 
-    Every map is the permutation by which one generator acts, so the indices
-    reached forward from i by the maps form the whole orbit of i; no inverse
-    maps are needed.  Phase 1 peels orbits one at a time by breadth-first
+    def __init__(self, maps):
+        self.maps = maps
+
+    def __len__(self):
+        return len(self.maps)
+
+    def first(self, rank: int) -> np.ndarray:
+        return np.array([rank], dtype=self.maps[0].dtype)
+
+    def step(self, t: int, frontier: np.ndarray) -> tuple:
+        ahead = self.maps[t][frontier]
+        return ahead, ahead
+
+    def index_maps(self) -> list:
+        return self.maps
+
+
+class _Subsets:
+    """Permutations of n points acting on weight-k n-bit masks, each element carried as its mask.
+
+    `step` computes the images of masks and their colex ranks from byte
+    tables (`_ranked_images`), so neither the array of all masks nor an index
+    map exists until `index_maps` builds both, which only a fallback does.
+    Ascending masks have ascending ranks, so a sorted frontier of masks
+    gathers its marks in ascending order.
+    """
+
+    def __init__(self, perms, n: int, k: int):
+        _check_mask_width(n)
+        self.perms, self.n, self.k, self.size = perms, n, k, comb(n, k)
+        self.images = [_byte_images(perm, (n + 7) // 8) for perm in perms]
+
+    def __len__(self):
+        return len(self.perms)
+
+    def first(self, rank: int) -> np.ndarray:
+        return np.array([_colex_unrank(rank, self.n, self.k)], dtype=np.uint64)
+
+    def step(self, t: int, frontier: np.ndarray) -> tuple:
+        return _ranked_images(self.images[t], frontier, self.k, self.size)
+
+    def index_maps(self) -> list:
+        masks = _bool_mask_array(self.n, self.k)
+        return [_boolean_index_map(masks, perm, self.k) for perm in self.perms]
+
+
+def _count_components(size: int, maps) -> int:
+    """Number of orbits on 0..size-1 of the group generated by `maps`.
+
+    `maps` holds one index map per generator, or is a `_Subsets`, which
+    computes images as it goes.  Every generator acts as a permutation, so
+    the elements reached forward from i form the whole orbit of i; no
+    inverses are needed.  Phase 1 peels orbits one at a time by breadth-first
     search (`_peel_orbit`), each from the least index not yet seen.  It suits
-    a few large orbits: each element is gathered once per map.  Phase 2 is the
-    stop rule: once an orbit holds less than 1/8 of what was unseen before it,
-    the seen marks are dropped and `_propagate_labels` counts every orbit from
-    scratch.  Each peel that continues removes at least 1/8 of what is left,
-    so there are at most ln(size)/ln(8/7) + 1 traversals (112 for 2.7M
-    elements), and a fallback wastes at most one pass over the elements, about
-    a third of what the propagation itself costs.
+    a few large orbits: each element's images are computed once.  Phase 2 is
+    the stop rule: once an orbit holds less than 1/8 of what was unseen
+    before it, the seen marks are dropped and `_propagate_labels` counts
+    every orbit from scratch, on the index maps.  Each peel that continues
+    removes at least 1/8 of what is left, so there are at most
+    ln(size)/ln(8/7) + 1 traversals (112 for 2.7M elements), and a fallback
+    wastes at most one pass over the elements, about a third of what the
+    propagation itself costs.
     """
     if not maps:
         return size
+    if not isinstance(maps, _Subsets):
+        maps = _IndexMaps(maps)
     seen = np.zeros(size, dtype=bool)
     count, left, start = 0, size, 0
     while left:
@@ -597,30 +714,34 @@ def _count_components(size: int, maps) -> int:
         orbit = _peel_orbit(start, maps, seen)
         if 8 * orbit < left:
             del seen
-            return _propagate_labels(size, maps)
+            return _propagate_labels(size, maps.index_maps())
         count += 1
         left -= orbit
     return count
 
 
 def _peel_orbit(start: int, maps, seen: np.ndarray) -> int:
-    """Mark the orbit of start in seen by breadth-first search; return its size.
+    """Mark the orbit of index start in seen by breadth-first search; return its size.
 
-    Each level gathers the images of the frontier under every map, keeps the
-    unseen ones and marks them.  A map is injective and the marks are set map
-    by map, so the new frontier has no repeats; it is sorted so that the next
-    level's gathers run in ascending order.
+    `maps` is an `_IndexMaps` or a `_Subsets`.  The frontier holds elements
+    in their carried form, and each level takes it in blocks, computing the
+    images of a block under every generator with their ranks, keeping the
+    unseen ones and marking them.  A generator is injective and the marks
+    are set generator by generator, so the new frontier has no repeats; it
+    is sorted so that the next level's marks are read in ascending order.
     """
     seen[start] = True
-    frontier = np.array([start], dtype=maps[0].dtype)
+    frontier = maps.first(start)
     orbit = 1
     while frontier.size:
         parts = []
-        for img in maps:
-            ahead = img[frontier]
-            ahead = ahead[~seen[ahead]]
-            seen[ahead] = True
-            parts.append(ahead)
+        for s in range(0, frontier.size, _BLOCK):
+            block = frontier[s : s + _BLOCK]
+            for t in range(len(maps)):
+                ahead, ranks = maps.step(t, block)
+                new = (~seen[ranks]).nonzero()[0]
+                seen[ranks] = True
+                parts.append(ahead.take(new))
         frontier = np.sort(np.concatenate(parts))
         orbit += frontier.size
     return orbit
@@ -662,12 +783,15 @@ def _propagate_labels(size: int, maps) -> int:
 def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = None) -> int:
     """Exact number of generator-closure orbits on the rank-k elements.
 
-    Each generator of `_counting_generators` (a certified pair where that
-    pays, else the input generators) becomes an index map on the rank set,
-    built once: byte-table images ranked in colex order for subsets, `act`
-    plus the canonical-form index for subspaces.  `_count_components` counts
-    the orbits of the maps: breadth-first search while the orbits are large,
-    one label propagation over the whole rank set once they turn small.
+    The generators are those of `_counting_generators` (a certified pair
+    where that pays, else the input generators).  On subsets they act on
+    masks directly (`_Subsets`): images come from byte tables and are ranked
+    in colex order as the search reaches them, and masks and index maps are
+    built only if the count falls back to label propagation.  On subspaces
+    each generator becomes an index map, built once by `act` and the
+    canonical-form index.  `_count_components` counts the orbits:
+    breadth-first search while the orbits are large, one label propagation
+    over the whole rank set once they turn small.
     """
     _check_action(g, spec)
     size = poset._check_cap(spec, k, cap)
@@ -676,17 +800,14 @@ def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = N
 
     gens = _counting_generators(g, size)
     if spec.kind == "boolean":
-        masks = _bool_mask_array(spec.n, k)
-        maps = [_boolean_index_map(masks, perm, k) for perm in gens]
-        del masks  # the counter needs only the maps: 8 bytes per element fewer at its peak
-    else:
-        elements = poset._proj_elements(spec, k)
-        index = poset._proj_index(spec, k)
-        maps = [
-            np.fromiter((index[act(mat, x, spec)] for x in elements),
-                        dtype=_index_dtype(size), count=size)
-            for mat in gens
-        ]
+        return _count_components(size, _Subsets(gens, spec.n, k))
+    elements = poset._proj_elements(spec, k)
+    index = poset._proj_index(spec, k)
+    maps = [
+        np.fromiter((index[act(mat, x, spec)] for x in elements),
+                    dtype=_index_dtype(size), count=size)
+        for mat in gens
+    ]
     return _count_components(size, maps)
 
 

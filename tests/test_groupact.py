@@ -590,19 +590,94 @@ M24_CLASSES = [
 
 def test_m24_counts_without_label_propagation(monkeypatch):
     # every rank of M24 is a few large orbits, so the counter must never fall
-    # back; the counts must match Burnside over the class sizes of M24
+    # back, and the search on masks builds neither the mask array nor an
+    # index map; the counts must match Burnside over the class sizes of M24
     order = 244823040
     assert sum(order // c for _, c in M24_CLASSES) == order
 
-    def refuse(size, maps):
-        raise AssertionError(f"label propagation ran on {size} elements")
+    def refuse(name):
+        def refusing(*args):
+            raise AssertionError(f"{name} ran during the search")
+        return refusing
 
-    monkeypatch.setattr(groupact, "_propagate_labels", refuse)
+    for name in ("_propagate_labels", "_boolean_index_map", "_bool_mask_array"):
+        monkeypatch.setattr(groupact, name, refuse(name))
     g = parse_group(data_text("m24.json"))
     spec = PosetSpec.boolean(24)
-    for k in range(9):
+    for k in range(13):
         fixed = sum(order // c * fix_count_subsets(t, k) for t, c in M24_CLASSES)
         assert orbit_count_unionfind(g, spec, k) * order == fixed, k
+    monkeypatch.undo()
+
+    # C_20 on the 10-subsets of 20 points falls back: it builds the masks once
+    # and the map of its one generator, and propagates labels over them
+    calls = []
+    for name in ("_propagate_labels", "_boolean_index_map", "_bool_mask_array"):
+        def spying(*args, _f=getattr(groupact, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(groupact, name, spying)
+    c20 = Group(kind="permutation", degree=20, generators=(tuple((i + 1) % 20 for i in range(20)),))
+    spec = PosetSpec.boolean(20)
+    assert orbit_count_unionfind(c20, spec, 10) == burnside_counts(c20, spec).values[10]
+    assert calls == ["_bool_mask_array", "_boolean_index_map", "_propagate_labels"]
+
+
+# ---------------------------------------------------------------- colex ranks of masks
+
+
+def test_colex_unrank_matches_the_mask_array():
+    for n in range(17):
+        for k in range(n + 1):
+            masks = _bool_mask_array(n, k).tolist()
+            assert [groupact._colex_unrank(i, n, k) for i in range(len(masks))] == masks, (n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 63).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, comb(n, k) - 1))))))
+def test_colex_unrank_round_trips_through_the_ranks(case):
+    n, (k, i) = case
+    mask = groupact._colex_unrank(i, n, k)
+    assert mask.bit_count() == k and mask < 1 << n
+    identity = groupact._byte_images(tuple(range(n)), (n + 7) // 8)
+    img, idx = groupact._ranked_images(identity, np.array([mask], dtype=np.uint64), k, comb(n, k))
+    assert img.tolist() == [mask] and idx.tolist() == [i]
+
+
+def test_colex_tables_are_checked_entry_by_entry():
+    for nbytes in range(1, 9):
+        groupact._check_colex_tables(*groupact._colex_tables(nbytes))
+    table, step = groupact._colex_tables(3)
+    # one entry of byte 1, row 5, and one row step off by one
+    bad_table = table.copy()
+    bad_table[1, 5 * 256 + 0b1010] += 1
+    with pytest.raises(InternalConsistencyError, match="3-byte colex rank tables"):
+        groupact._check_colex_tables(bad_table, step)
+    bad_step = step.copy()
+    bad_step[7] -= 256
+    with pytest.raises(InternalConsistencyError, match="3-byte colex rank tables"):
+        groupact._check_colex_tables(table, bad_step)
+
+
+def _with_a_rank(gens):
+    """gens, and a rank of their degree with at most 20,000 subsets."""
+    n = len(gens[0])
+    return st.tuples(st.just(gens),
+                     st.sampled_from([k for k in range(n + 1) if comb(n, k) <= 20_000]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_groups(40).flatmap(_with_a_rank))
+def test_search_on_masks_counts_as_the_index_maps_do(case):
+    # degrees up to 40 need up to five byte tables
+    gens, k = case
+    n = len(gens[0])
+    masks = _bool_mask_array(n, k)
+    maps = [_boolean_index_map(masks, perm, k) for perm in gens]
+    assert (_count_components(masks.size, groupact._Subsets(gens, n, k))
+            == _count_components(masks.size, maps))
 
 
 # ---------------------------------------------------------------- the counting pair
@@ -776,6 +851,29 @@ def test_certification_compares_orders(benchmark_path, draw_spy):
     for draw in draw_spy[:-1]:
         x, y = _drawn_elements(g, draw)
         assert group_order(replace(g, generators=(x, y), declared_order=None)) < spec.order
+
+
+def test_orbits_searches_the_vectors_of_a_matrix_group_once(monkeypatch, tmp_path):
+    # |G| and the counting pair of a 4-generator group read one cached P
+    from inchom.cli import main
+
+    g = parse_group(json.dumps({"kind": "matrix", "n": 3, "q": 3,
+                                "generators": MATRIX_GROUPS[1][2]}))
+    padded, spec = _padded(g, [(0, 1), (1, 0, 1)])
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"kind": "matrix", "n": 3, "q": 3,
+                                "generators": [list(map(list, m)) for m in padded.generators]}))
+    calls = []
+    point_action = groupact._point_action
+
+    def spying(h):
+        calls.append(len(h.generators))
+        return point_action(h)
+
+    monkeypatch.setattr(groupact, "_point_action", spying)
+    groupact._permutation_form.cache_clear()
+    assert main(["orbits", str(path), spec.describe(), "--json"]) == 0
+    assert calls == [4]
 
 
 def _drawn_elements(g, draw):
