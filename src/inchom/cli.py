@@ -183,16 +183,18 @@ def cmd_orbits(args) -> dict:
     n = spec.n
     ks = [args.k] if args.k is not None else list(range(n + 1))
     if args.method in ("uf", "both"):
+        # N_k = N_{n-k}: complement commutes with a permutation action, and
+        # g fixes as many k-subspaces as (n-k)-subspaces because g and g^T
+        # are conjugate in GL(n, q); so an all-ranks run counts ranks 0..n//2
+        counted = ks if args.k is not None else range(n // 2 + 1)
+        # every rank passes the cap before a pair is drawn or a rank counted
+        total = sum(poset._check_cap(spec, k, args.max_rank_size) for k in counted)
+        counting = replace(g, generators=groupact._counting_generators(g, total))
+        counts = [groupact.orbit_count_unionfind(counting, spec, k, cap=args.max_rank_size)
+                  for k in counted]
         if args.k is None:
-            # N_k = N_{n-k}: complement commutes with a permutation action, and
-            # g fixes as many k-subspaces as (n-k)-subspaces because g and g^T
-            # are conjugate in GL(n, q); so only ranks 0..n//2 are counted
-            half = [groupact.orbit_count_unionfind(g, spec, k, cap=args.max_rank_size)
-                    for k in range(n // 2 + 1)]
-            counts = [half[min(k, n - k)] for k in ks]
+            counts = [counts[min(k, n - k)] for k in ks]
             _check_orbit_series(counts, spec, order)
-        else:
-            counts = [groupact.orbit_count_unionfind(g, spec, args.k, cap=args.max_rank_size)]
         results["unionfind"] = counts
     if args.method in ("burnside", "both"):
         series = groupact.burnside_counts(g, spec, cap=args.max_group_order)

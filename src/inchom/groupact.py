@@ -3,10 +3,11 @@
 Covers group parsing, exact order computation (one stabilizer chain: on the
 points of a permutation group, on the vectors a matrix group moves the
 standard basis to), cycle types, Burnside orbit counting over the elements
-listed from the chain, and generator-closure orbit counting on a single rank
-set, from a certified pair of random elements where that pays.  The orbit
-counter works on numpy arrays, so this is the one module of the command line
-that loads numpy; `cli` imports it only for `orbits` and `order`.
+listed from the chain, generator-closure orbit counting on a single rank set,
+and the choice of a certified pair of random elements to count with where
+that pays.  The orbit counter works on numpy arrays, so this is the one
+module of the command line that loads numpy; `cli` imports it only for
+`orbits` and `order`.
 """
 
 import json
@@ -29,7 +30,7 @@ DEFAULT_GROUP_CAP = 1_000_000
 # representative slots (orbit points times degree, summed over the levels)
 # a stabilizer chain may hold: 2**25 slots of 8 bytes are 256 MiB
 MAX_CHAIN_ENTRIES = 2**25
-# random pairs the orbit counter draws in a group before it keeps the input generators
+# random pairs `_counting_generators` draws at most before it keeps the input generators
 GENERATOR_DRAWS = 20
 
 
@@ -107,6 +108,16 @@ class Group:
     q: int = 0
     declared_order: int | None = None
     name: str = ""
+
+    def __post_init__(self):
+        # the orbit counter walks forward images only, which needs every
+        # generator to be a bijection; a map that merges points would hang it
+        if self.kind == "permutation":
+            for i, perm in enumerate(self.generators):
+                if sorted(perm) != list(range(self.degree)):
+                    raise DataError(
+                        f"generator {i + 1} is not a permutation of 0..{self.degree - 1}"
+                    )
 
 
 def _validate_matrix_generator(rows, n: int, q: int, where: str):
@@ -331,79 +342,49 @@ def group_order(g: Group) -> int:
     return order
 
 
-def _counting_generators(g: Group, size: int) -> tuple:
-    """Generators of G to count orbits on a rank set of `size` elements with.
+def _counting_generators(g: Group, total: int) -> tuple:
+    """Generators to count G's orbits with, on rank sets of `total` elements in all.
 
     Orbit counts depend only on the group generated, and each generator costs
-    one image per element of the rank set.  So a group of more than two
-    generators is replaced by the first of the seeded random pairs
-    (`_drawn_pair`) that generates it.  A draw builds one certification chain, as large as G's
-    when it succeeds: Schreier-Sims sifts a Schreier generator for each orbit
-    point and strong generator of a level (up to one strong generator per
-    level below it), each through up to every level, so a draw is counted as
-    the slots of G's chain times its levels squared.  A rank draws only while
-    the draws' count stays within the (generators - 2) x size images a pair
-    saves, and at most GENERATOR_DRAWS times.  G's own chain is not built
-    while the slots of its first level alone exceed that saving.  Without an
-    accepted pair, or when G's chain is over its bound, the input generators
-    are kept.  A
-    matrix group draws among the permutations of P (`_point_action`); the
-    matrix of a drawn permutation x has column c equal to the point x(e_c),
-    P's first n points being the standard basis e_0..e_{n-1}.
+    one image per element counted.  So a group of more than two generators is
+    replaced by the first seeded random pair that generates it.  Draw i takes
+    random.Random(i) and makes x and y each a product u_0 u_1 ... of one
+    uniformly chosen coset representative per level of G's cached chain, so
+    both are uniform in G and the same in every process.  A pair is accepted
+    when its chain, built uncached so that G's stays in the cache, has order
+    |G|: a subgroup of the same order is G.  A successful draw builds a chain
+    as large as G's, and Schreier-Sims sifts a Schreier generator for each
+    orbit point and strong generator of a level (up to one strong generator
+    per level below it), each through up to every level; so a draw is counted
+    as the slots of G's chain times its levels squared, and the draws stop
+    once their count would pass the (generators - 2) x total images a pair
+    saves, or at GENERATOR_DRAWS.  Without an accepted pair the input
+    generators are kept.  A matrix group draws among the permutations of P
+    (`_point_action`); the matrix of a drawn permutation x has column c equal
+    to the point x(e_c), P's first n points being the standard basis
+    e_0..e_{n-1}.
     """
     if len(g.generators) <= 2:
         return g.generators
-    saving = (len(g.generators) - 2) * size
-    try:
-        points, perms = _permutation_form(g)
-        if saving < len(points) * _first_orbit_size(perms):
-            return g.generators
-        chain = _stabilizer_chain(perms, len(points))
-    except ResourceLimitError:
-        return g.generators
-    work = len(points) * sum(map(len, chain)) * len(chain) ** 2
-    draws = min(GENERATOR_DRAWS, saving // max(1, work))
-    pair = next(filter(None, (_drawn_pair(perms, len(points), i) for i in range(draws))), None)
-    if pair is None:
+    points, perms = _permutation_form(g)
+    degree = len(points)
+    chain = _stabilizer_chain(perms, degree)
+    work = degree * sum(map(len, chain)) * len(chain) ** 2
+    draws = min(GENERATOR_DRAWS, (len(g.generators) - 2) * total // max(1, work))
+    order = prod(map(len, chain))
+    for draw in range(draws):
+        rng = random.Random(draw)
+        pair = tuple(reduce(_pmul, [rng.choice(list(tr.values())) for tr in chain],
+                            _identity(degree)) for _ in range(2))
+        if prod(map(len, _stabilizer_chain.__wrapped__(pair, degree))) == order:
+            break
+    else:
         return g.generators
     if g.kind == "permutation":
         return pair
     n = g.degree
     return tuple(tuple(tuple(points[x[c]][r] for c in range(n)) for r in range(n))
                  for x in pair)
-
-
-def _first_orbit_size(perms) -> int:
-    """Size of the first level of the chain of <perms>: the orbit of the first point moved."""
-    start = next((i for h in perms for i, hi in enumerate(h) if hi != i), None)
-    if start is None:
-        return 0
-    orbit = {start}
-    frontier = [start]
-    for x in frontier:
-        for h in perms:
-            if h[x] not in orbit:
-                orbit.add(h[x])
-                frontier.append(h[x])
-    return len(orbit)
-
-
-@lru_cache(maxsize=4 * GENERATOR_DRAWS)
-def _drawn_pair(perms, degree: int, draw: int):
-    """Pair number `draw` of random elements of G = <perms>, or None unless it generates G.
-
-    Each element is a product u_0 u_1 ... of one coset representative per
-    level of G's chain, chosen uniformly by a random.Random seeded with the
-    draw number, so it is uniform in G and the same in every process.  The
-    pair is accepted when the chain of <x, y> has order |G|.  That chain is
-    built uncached, so the draws never evict G's own.
-    """
-    chain = _stabilizer_chain(perms, degree)
-    rng = random.Random(draw)
-    x, y = (reduce(_pmul, [rng.choice(list(tr.values())) for tr in chain], _identity(degree))
-            for _ in range(2))
-    certified = _stabilizer_chain.__wrapped__((x, y), degree)
-    return (x, y) if prod(map(len, certified)) == prod(map(len, chain)) else None
 
 
 def cycle_type(perm) -> tuple:
@@ -541,50 +522,27 @@ def _colex_tables(nbytes: int):
     j + m) over the m-th set bit t of v.  Rows are 256 apart, so a byte moves
     the row offset on by 256 times its popcount.  The position of a weight-k
     mask among all weight-k masks in ascending order (which is colex order)
-    is the sum of its bytes' entries.  Both tables pass `_check_colex_tables`
-    before they are used.
+    is the sum of its bytes' entries.  The binomials come from math.comb,
+    and an entry adds the term of one bit of the byte value at a time, the
+    row step counting the bits on the way.  An entry sums at most eight
+    binomials C(c, r) with c < 64, each at most C(63, 31) < 2^63 / 8, so
+    int64 holds it exactly.  Exact tables make every rank read from them
+    exact, which is what lets `_ranked_images` trust a rank without looking
+    up the mask stored there.
     """
-    width = 8 * nbytes
-    binom = np.zeros((width, width + 9), dtype=np.int64)
-    binom[:, 0] = 1
-    for c in range(1, width):
-        binom[c, 1:] = binom[c - 1, 1:] + binom[c - 1, :-1]
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    below = np.cumsum(bits, axis=1) - bits
-    c = 8 * np.arange(nbytes)[:, None, None, None] + np.arange(8)
-    r = np.arange(width)[:, None, None] + below + 1
-    table = (binom[c, r] * bits).sum(axis=3).reshape(nbytes, width * 256)
-    step = 256 * bits.sum(axis=1)
-    _check_colex_tables(table, step)
-    return table, step
-
-
-def _check_colex_tables(table: np.ndarray, step: np.ndarray):
-    """Raise InternalConsistencyError unless every entry of the colex tables is exact.
-
-    Each entry is recomputed from math.comb, adding the term of one bit of
-    the byte value at a time, and each row step from the bits counted on the
-    way.  An entry sums at most eight binomials C(c, r) with c < 64, each at
-    most C(63, 31) < 2^63 / 8, so int64 holds it.  Exact tables make every
-    rank read from them exact, which is what lets `_ranked_images` trust a
-    rank without looking up the mask stored there.
-    """
-    nbytes = table.shape[0]
     width = 8 * nbytes
     binom = np.array([[comb(c, r) for r in range(width + 9)] for c in range(width)],
                      dtype=np.int64)
     values = np.arange(256)
     rows = np.arange(width)[:, None]
-    want = np.zeros((nbytes, width, 256), dtype=np.int64)
+    table = np.zeros((nbytes, width, 256), dtype=np.int64)
     below = np.zeros(256, dtype=np.int64)  # bits of each value below bit t
     for t in range(8):
         bit = (values >> t) & 1
         c = 8 * np.arange(nbytes)[:, None, None] + t
-        want += bit * binom[c, rows + below + 1]
+        table += bit * binom[c, rows + below + 1]
         below += bit
-    if not (np.array_equal(table, want.reshape(nbytes, width * 256))
-            and np.array_equal(step, 256 * below)):
-        raise InternalConsistencyError(f"the {nbytes}-byte colex rank tables are not exact")
+    return table.reshape(nbytes, width * 256), 256 * below
 
 
 def _byte_images(perm, nbytes: int) -> np.ndarray:
@@ -783,30 +741,29 @@ def _propagate_labels(size: int, maps) -> int:
 def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = None) -> int:
     """Exact number of generator-closure orbits on the rank-k elements.
 
-    The generators are those of `_counting_generators` (a certified pair
-    where that pays, else the input generators).  On subsets they act on
-    masks directly (`_Subsets`): images come from byte tables and are ranked
-    in colex order as the search reaches them, and masks and index maps are
-    built only if the count falls back to label propagation.  On subspaces
-    each generator becomes an index map, built once by `act` and the
-    canonical-form index.  `_count_components` counts the orbits:
-    breadth-first search while the orbits are large, one label propagation
-    over the whole rank set once they turn small.
+    It counts with the generators of g as given; `inchom orbits` passes the
+    pair `_counting_generators` certifies, chosen once per command.  On
+    subsets they act on masks directly (`_Subsets`): images come from byte
+    tables and are ranked in colex order as the search reaches them, and
+    masks and index maps are built only if the count falls back to label
+    propagation.  On subspaces each generator becomes an index map, built
+    once by `act` and the canonical-form index.  `_count_components` counts
+    the orbits: breadth-first search while the orbits are large, one label
+    propagation over the whole rank set once they turn small.
     """
     _check_action(g, spec)
     size = poset._check_cap(spec, k, cap)
     if size == 0:
         raise ValueError(f"rank {k} of {spec.describe()} is empty")
 
-    gens = _counting_generators(g, size)
     if spec.kind == "boolean":
-        return _count_components(size, _Subsets(gens, spec.n, k))
+        return _count_components(size, _Subsets(g.generators, spec.n, k))
     elements = poset._proj_elements(spec, k)
     index = poset._proj_index(spec, k)
     maps = [
         np.fromiter((index[act(mat, x, spec)] for x in elements),
                     dtype=_index_dtype(size), count=size)
-        for mat in gens
+        for mat in g.generators
     ]
     return _count_components(size, maps)
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -453,6 +454,28 @@ def test_orbits_mirror_keeps_error_reports(tmp_path, capsys):
     assert doc["results"] == over | {"error": "rank 2 of projective:3,2 has 7 elements, over the cap 6"}
 
 
+def test_orbits_check_every_cap_before_counting(monkeypatch, capsys):
+    # only the middle rank of M24 (2,704,156 subsets) is over the cap: the run
+    # fails with the report it gave when it counted ranks 0..11 first, but
+    # now neither counts a rank nor draws a pair
+    touched = []
+    monkeypatch.setattr(groupact, "orbit_count_unionfind",
+                        lambda g, spec, k, cap=None: touched.append(k))
+    monkeypatch.setattr(groupact, "random",
+                        SimpleNamespace(Random=lambda draw: touched.append(draw)))
+    code, doc = run_json(capsys, "orbits", "data:m24.json", "boolean:24",
+                         "--max-rank-size", "2600000")
+    assert code == 2 and touched == []
+    assert doc == {
+        "command": "orbits",
+        "inputs": {"group": "data:m24.json", "k": None, "max_group_order": None,
+                   "max_rank_size": 2600000, "method": "uf", "poset": "boolean:24"},
+        "results": {"error": "rank 12 of boolean:24 has 2704156 elements, over the cap 2600000",
+                    "type": "ResourceLimitError"},
+        "status": "error",
+    }
+
+
 def test_burnside_group_order_cap(capsys):
     code, doc = run_json(capsys, "orbits", "data:s4.json", "boolean:4", "--method", "burnside",
                          "--max-group-order", "10")
@@ -599,9 +622,10 @@ def test_package_exports_load_on_first_use():
 
 
 def test_method_both_builds_the_group_chain_once(monkeypatch, tmp_path, capsys):
-    # C_2^3 on 18 points is not 2-generated, so every pair drawn fails: the
-    # ranks draw 20 pairs in all, and their certification chains must not push
-    # the group's own chain out of the cache before Burnside reads it
+    # C_2^3 on 18 points is not 2-generated, so every pair drawn fails: its
+    # chain is 18 x 6 slots on 3 levels, 972 per draw, and rank 5 holds 8568
+    # subsets, which pays for 8 draws; their certification chains must not
+    # push the group's own chain out of the cache before Burnside reads it
     builds = []
     build = groupact._stabilizer_chain.__wrapped__
 
@@ -610,14 +634,13 @@ def test_method_both_builds_the_group_chain_once(monkeypatch, tmp_path, capsys):
         return build(gens, n)
 
     monkeypatch.setattr(groupact, "_stabilizer_chain", lru_cache(maxsize=8)(building))
-    groupact._drawn_pair.cache_clear()
     path = tmp_path / "c2cubed.json"
     path.write_text(json.dumps({"kind": "permutation", "degree": 18,
                                 "generators": ["(1,2)", "(3,4)", "(5,6)"]}))
-    code, doc = run_json(capsys, "orbits", str(path), "boolean:18", "--method", "both")
+    code, doc = run_json(capsys, "orbits", str(path), "boolean:18", "-k", "5", "--method", "both")
     assert code == 0 and doc["results"]["methods_agree"]
     assert builds.count(parse_group(path.read_text()).generators) == 1
-    assert len(builds) == 1 + groupact.GENERATOR_DRAWS
+    assert len(builds) == 1 + 8
 
 
 _DRAWN_PAIRS = """
@@ -625,7 +648,7 @@ import json, sys
 from inchom import groupact
 groups = [groupact.parse_group(text) for text in json.loads(sys.argv[1])]
 pairs = [groupact._counting_generators(g, 10**9) for g in groups]
-groupact._drawn_pair.cache_clear()
+groupact._stabilizer_chain.cache_clear()
 groupact._permutation_form.cache_clear()
 warm = [groupact._counting_generators(g, 10**9) for g in reversed(groups)][::-1]
 print(json.dumps([pairs, warm]))

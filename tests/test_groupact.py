@@ -3,9 +3,10 @@ import itertools
 import json
 import random
 from dataclasses import replace
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, factorial, gcd, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from corpus import closure, corpus, matmul, matrix_closure, pmul
 from inchom.chartab import fix_count_subsets
-from inchom.cli import data_text
+from inchom.cli import data_text, main
 from inchom.gf import field, rref
 from inchom import groupact
 from inchom.errors import DataError, InternalConsistencyError, ResourceLimitError
@@ -359,10 +360,24 @@ def test_boolean_index_map_matches_searchsorted(n, k):
 
 @pytest.mark.parametrize("bad", [(0, 0, 2), (0, 1, 5), (2, 3, 1)])
 def test_image_outside_rank_set_is_caught(bad):
-    # not permutations of 0..2: two points merge, or a point leaves the 3-set
-    g = Group(kind="permutation", degree=3, generators=(bad,))
+    # not permutations of 0..2: two points merge, or a point leaves the 3-set;
+    # Group refuses them, so they reach the counter below it
     with pytest.raises(InternalConsistencyError):
-        orbit_count_unionfind(g, PosetSpec.boolean(3), 2)
+        _count_components(3, groupact._Subsets((bad,), 3, 2))
+
+
+@pytest.mark.parametrize("gens", [
+    ((3, 2, 2, 2), (1, 2, 3, 0)),  # merges points; on 1-subsets it would hang the counter
+    ((0, 1, 2),),  # too short
+    ((0, 1, 2, 4),),  # a point outside 0..3
+    ((1, 0, 3, 2), (0, 1, 2, 3, 4)),  # too long
+])
+def test_a_generator_that_is_not_a_permutation_is_refused(gens):
+    with pytest.raises(DataError, match="is not a permutation of 0..3"):
+        Group(kind="permutation", degree=4, generators=gens)
+    g = Group(kind="permutation", degree=4, generators=((1, 2, 3, 0),))
+    with pytest.raises(DataError, match="is not a permutation"):
+        replace(g, generators=gens)
 
 
 # (n, q, generators) of small matrix groups acting on projective:n,q
@@ -568,6 +583,20 @@ def test_counter_falls_back_after_large_orbits(counter_spy):
     assert counter_spy["peeled"] == [70, 56, 56, 28] and counter_spy["fallbacks"] == 1
 
 
+def test_counter_builds_no_chain(draw_spy, monkeypatch):
+    # S_63 from a 63-cycle, (1,2) and (2,3): the counter counts with the three
+    # generators it is given, so it builds no stabilizer chain and draws nothing
+    def building(gens, n):
+        raise AssertionError("the counter built a stabilizer chain")
+
+    monkeypatch.setattr(groupact, "_stabilizer_chain", lru_cache(maxsize=8)(building))
+    cycle = tuple((i + 1) % 63 for i in range(63))
+    swaps = [(1, 0) + tuple(range(2, 63)), (0, 2, 1) + tuple(range(3, 63))]
+    g = Group(kind="permutation", degree=63, generators=(cycle, *swaps))
+    assert orbit_count_unionfind(g, PosetSpec.boolean(63), 3) == 1
+    assert draw_spy == []
+
+
 def test_counter_without_generators():
     # no map moves anything, so every element is its own orbit
     g = Group(kind="permutation", degree=6, generators=())
@@ -647,18 +676,17 @@ def test_colex_unrank_round_trips_through_the_ranks(case):
 
 
 def test_colex_tables_are_checked_entry_by_entry():
+    # pure-Python oracle: entry (b, j, v) is the sum of C(8b + t, j + m) over
+    # the m-th set bit t of v, and the row step of v is 256 times its popcount
+    step = [256 * v.bit_count() for v in range(256)]
+    bits = [[t for t in range(8) if v >> t & 1] for v in range(256)]
     for nbytes in range(1, 9):
-        groupact._check_colex_tables(*groupact._colex_tables(nbytes))
-    table, step = groupact._colex_tables(3)
-    # one entry of byte 1, row 5, and one row step off by one
-    bad_table = table.copy()
-    bad_table[1, 5 * 256 + 0b1010] += 1
-    with pytest.raises(InternalConsistencyError, match="3-byte colex rank tables"):
-        groupact._check_colex_tables(bad_table, step)
-    bad_step = step.copy()
-    bad_step[7] -= 256
-    with pytest.raises(InternalConsistencyError, match="3-byte colex rank tables"):
-        groupact._check_colex_tables(table, bad_step)
+        width = 8 * nbytes
+        want = [[sum(comb(8 * b + t, j + m) for m, t in enumerate(bits[v], 1))
+                 for j in range(width) for v in range(256)] for b in range(nbytes)]
+        table, got_step = groupact._colex_tables(nbytes)
+        assert table.dtype == np.int64 and table.tolist() == want, nbytes
+        assert got_step.tolist() == step, nbytes
 
 
 def _with_a_rank(gens):
@@ -685,15 +713,14 @@ def test_search_on_masks_counts_as_the_index_maps_do(case):
 
 @pytest.fixture
 def draw_spy(monkeypatch):
-    """Record the number of every pair draw the orbit counter asks for."""
+    """Record the number of every pair draw `_counting_generators` makes."""
     draws = []
-    drawn = groupact._drawn_pair
 
-    def drawing(perms, degree, draw):
+    def seeded(draw):
         draws.append(draw)
-        return drawn(perms, degree, draw)
+        return random.Random(draw)
 
-    monkeypatch.setattr(groupact, "_drawn_pair", drawing)
+    monkeypatch.setattr(groupact, "random", SimpleNamespace(Random=seeded))
     return draws
 
 
@@ -707,13 +734,6 @@ def _benchmark_matrix_group(a, b, q):
 @pytest.fixture
 def benchmark_path(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-
-
-def _input_counts(g, spec):
-    """Orbit counts on every rank from the input generators: drawing switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groupact, "GENERATOR_DRAWS", 0)
-        return [orbit_count_unionfind(g, spec, k) for k in range(spec.n + 1)]
 
 
 def _padded(g, words):
@@ -739,7 +759,8 @@ def _assert_reduction_keeps_counts(g, spec):
     reduced = groupact._counting_generators(g, 10**9)
     assert len(reduced) <= len(g.generators)
     pair = replace(g, generators=reduced)
-    assert [orbit_count_unionfind(pair, spec, k) for k in range(spec.n + 1)] == _input_counts(g, spec)
+    assert ([orbit_count_unionfind(pair, spec, k) for k in range(spec.n + 1)]
+            == [orbit_count_unionfind(g, spec, k) for k in range(spec.n + 1)])
     return reduced
 
 
@@ -784,36 +805,54 @@ def _dihedral_square():
     return tuple(left + right)
 
 
-def test_groups_that_are_not_two_generated_keep_their_generators(draw_spy):
+def test_groups_that_are_not_two_generated_keep_their_generators(draw_spy, tmp_path):
     # C_2^4 and D10 x D10 (abelianized to C_2^4) need four generators
     for gens in (_elementary_abelian_2(4), _dihedral_square()):
         g = Group(kind="permutation", degree=len(gens[0]), generators=gens)
         draw_spy.clear()
         assert groupact._counting_generators(g, 10**9) is g.generators
         assert draw_spy == list(range(groupact.GENERATOR_DRAWS))
-    # counting on 12 points, the middle ranks draw
-    draw_spy.clear()
+    # on 12 points the chain holds 2 + 2 + 2 + 2 representatives on 4 levels,
+    # 12 x 8 x 4^2 = 1536 per draw, and an all-ranks command counts ranks
+    # 0..6, 2510 subsets; a pair would save two images of each, which pays for
+    # three draws, made once for the whole command
     g = Group(kind="permutation", degree=12, generators=_elementary_abelian_2(4, 12))
-    spec = PosetSpec.boolean(12)
-    assert ([orbit_count_unionfind(g, spec, k) for k in range(13)]
-            == list(burnside_counts(g, spec).values))
-    assert 0 < len(draw_spy) and max(draw_spy) < groupact.GENERATOR_DRAWS
+    path = tmp_path / "c2four.json"
+    path.write_text(json.dumps({"kind": "permutation", "degree": 12,
+                                "generators": [cycles_of(x) for x in g.generators]}))
+    draw_spy.clear()
+    assert main(["orbits", str(path), "boolean:12", "--method", "both", "--json"]) == 0
+    assert draw_spy == [0, 1, 2]
 
 
-def test_draws_only_while_they_pay(draw_spy):
+def test_draws_only_while_they_pay(draw_spy, monkeypatch):
     # M24's chain holds 24 + 23 + 22 + 21 + 20 + 16 + 3 = 129 representatives
-    # of 24 points on 7 levels; with 3 generators a pair saves one map of
-    # C(24, k) elements, so ranks 0..6 draw nothing; the first pair drawn
+    # of 24 points on 7 levels; with 3 generators a pair saves one image of
+    # each element counted, so counting rank 6 alone (134,596 subsets) draws
+    # nothing and rank 7 alone (346,104) or all ranks do; the first pair drawn
     # generates M24
     g = parse_group(data_text("m24.json"))
     chain = groupact._stabilizer_chain(g.generators, 24)
     work = 24 * sum(map(len, chain)) * len(chain) ** 2
     assert work == 24 * 129 * 7**2
-    for k in range(13):
+    for total in (comb(24, 6), work - 1, work, comb(24, 7), sum(comb(24, k) for k in range(13))):
         draw_spy.clear()
-        gens = groupact._counting_generators(g, comb(24, k))
-        assert draw_spy == ([0] if comb(24, k) >= work else []), k
-        assert len(gens) == (2 if k >= 7 else 3), k
+        gens = groupact._counting_generators(g, total)
+        assert draw_spy == ([0] if total >= work else []), total
+        assert len(gens) == (2 if total >= work else 3), total
+    # the command counts each rank with the generators it chose
+    counted = []
+    count = groupact.orbit_count_unionfind
+
+    def counting(h, spec, k, cap=None):
+        counted.append(h.generators)
+        return count(h, spec, k, cap=cap)
+
+    monkeypatch.setattr(groupact, "orbit_count_unionfind", counting)
+    for k, want in ((6, g.generators), (7, groupact._counting_generators(g, comb(24, 7)))):
+        counted.clear()
+        assert main(["orbits", "data:m24.json", "boolean:24", "-k", str(k), "--json"]) == 0
+        assert counted == [want] and len(want) == (2 if k == 7 else 3), k
     # C_2^4 on 8 points is not 2-generated, and its chain holds 2 + 2 + 2 + 2
     # representatives on 4 levels: it draws only as often as that pays
     g = Group(kind="permutation", degree=8, generators=_elementary_abelian_2(4))
