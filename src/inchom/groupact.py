@@ -118,19 +118,33 @@ class Group:
                     raise DataError(
                         f"generator {i + 1} is not a permutation of 0..{self.degree - 1}"
                     )
+        elif self.kind == "matrix":
+            # `_point_action` needs every generator to permute the vectors it
+            # reaches; a singular or malformed matrix would give a wrong |G|
+            try:
+                gf.field(self.q if isinstance(self.q, int) else -1)
+            except ValueError as exc:
+                raise DataError(f"unsupported field size q = {self.q!r}: {exc}") from None
+            for i, mat in enumerate(self.generators):
+                _validate_matrix_generator(mat, self.degree, self.q, f"generator {i + 1}")
 
 
-def _validate_matrix_generator(rows, n: int, q: int, where: str):
-    if len(rows) != n or any(len(r) != n for r in rows):
+def _validate_matrix_generator(mat, n: int, q: int, where: str):
+    """Refuse, with DataError, anything but an invertible n x n tuple of tuples over GF(q)."""
+    if not (isinstance(mat, tuple) and len(mat) == n
+            and all(isinstance(r, tuple) and len(r) == n for r in mat)):
         raise DataError(f"{where}: matrix is not {n}x{n}")
-    for r in rows:
+    for r in mat:
         for v in r:
             if not isinstance(v, int) or not (0 <= v < q):
                 raise DataError(f"{where}: entry {v!r} outside 0..{q - 1}")
-    mat = tuple(tuple(r) for r in rows)
     if len(gf.rref(mat, n, gf.field(q))) != n:
         raise DataError(f"{where}: matrix is singular over GF({q})")
-    return mat
+
+
+def _as_tuples(value):
+    """JSON lists as tuples, all the way down; anything else as it is."""
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
 
 
 def parse_group(source: str, name: str = "") -> Group:
@@ -167,22 +181,15 @@ def parse_group(source: str, name: str = "") -> Group:
         )
 
     if kind == "matrix":
-        n, q = doc.get("n"), doc.get("q")
+        n = doc.get("n")
         if not isinstance(n, int) or n < 1:
             raise DataError(f"bad dimension n = {n!r}")
-        try:
-            gf.field(q if isinstance(q, int) else -1)
-        except ValueError as exc:
-            raise DataError(f"unsupported field size q = {q!r}: {exc}") from None
         raw = doc.get("generators")
         if not isinstance(raw, list) or not raw:
             raise DataError("matrix group needs a nonempty generator list")
-        gens = tuple(
-            _validate_matrix_generator(rows, n, q, f"generator {i + 1}")
-            for i, rows in enumerate(raw)
-        )
+        # Group checks the field and every generator
         return Group(
-            kind="matrix", degree=n, q=q, generators=gens,
+            kind="matrix", degree=n, q=doc.get("q"), generators=_as_tuples(raw),
             declared_order=declared, name=name,
         )
 
@@ -472,13 +479,19 @@ def _check_mask_width(n: int):
         raise ResourceLimitError(f"boolean enumeration is limited to n <= 63, got n = {n}")
 
 
+def _mask_dtype(n: int):
+    """The narrowest unsigned type that holds n-bit masks: uint32 up to 32 bits, else uint64."""
+    return np.uint32 if n <= 32 else np.uint64
+
+
 def _bool_mask_array(n: int, k: int) -> np.ndarray:
-    """All n-bit masks of weight k, ascending, as uint64; built per call, never cached."""
+    """All n-bit masks of weight k, ascending, as `_mask_dtype(n)`; built per call, never cached."""
     _check_mask_width(n)
+    dtype = _mask_dtype(n)
     if k < 0 or k > n:
-        return np.zeros(0, dtype=np.uint64)
+        return np.zeros(0, dtype=dtype)
     # row-by-row merge; only the anti-diagonal band feeding (n, k) is kept
-    row = {0: np.array([0], dtype=np.uint64)}
+    row = {0: np.array([0], dtype=dtype)}
     for m in range(1, n + 1):
         lo = max(0, k - (n - m))
         hi = min(k, m)
@@ -488,7 +501,7 @@ def _bool_mask_array(n: int, k: int) -> np.ndarray:
             if j in row:
                 parts.append(row[j])
             if j - 1 in row:
-                parts.append(row[j - 1] | np.uint64(1 << (m - 1)))
+                parts.append(row[j - 1] | dtype(1 << (m - 1)))
             new[j] = np.concatenate(parts) if len(parts) > 1 else parts[0]
         row = new
     return row[k]
@@ -546,12 +559,17 @@ def _colex_tables(nbytes: int):
 
 
 def _byte_images(perm, nbytes: int) -> np.ndarray:
-    """Image of every byte value at every byte position, as uint64 masks (nbytes x 256)."""
-    dst = np.zeros(8 * nbytes, dtype=np.uint64)
-    dst[: len(perm)] = np.left_shift(np.uint64(1), np.array(perm, dtype=np.uint64))
+    """Image of every byte value at every byte position (nbytes x 256).
+
+    The images are masks of `_mask_dtype(8 nbytes)`: uint32 up to four bytes,
+    uint64 above.
+    """
+    dtype = _mask_dtype(8 * nbytes)
+    dst = np.zeros(8 * nbytes, dtype=dtype)
+    dst[: len(perm)] = np.left_shift(dtype(1), np.array(perm, dtype=dtype))
     bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
     return np.bitwise_or.reduce(
-        np.where(bits, dst.reshape(nbytes, 1, 8), np.uint64(0)), axis=2
+        np.where(bits, dst.reshape(nbytes, 1, 8), dtype(0)), axis=2
     )
 
 
@@ -568,12 +586,15 @@ def _ranked_images(images: np.ndarray, masks: np.ndarray, k: int, size: int) -> 
     """
     nbytes = len(images)
     colex, step = _colex_tables(nbytes)
-    # little-endian views: column b of the byte view holds bits 8b..8b+7
-    src = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    # little-endian views of the masks' own width, 4 or 8 bytes: column b of
+    # a byte view holds bits 8b..8b+7
+    width = images.dtype.itemsize
+    order = f"<u{width}"
+    src = masks.astype(order, copy=False).view(np.uint8).reshape(-1, width)
     img = images[0].take(src[:, 0])
     for b in range(1, nbytes):
         img |= images[b].take(src[:, b])
-    dst = img.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    dst = img.astype(order, copy=False).view(np.uint8).reshape(-1, width)
     idx = colex[0].take(dst[:, 0])
     row = step.take(dst[:, 0])
     for b in range(1, nbytes):
@@ -618,9 +639,10 @@ class _IndexMaps:
 class _Subsets:
     """Permutations of n points acting on weight-k n-bit masks, each element carried as its mask.
 
-    `step` computes the images of masks and their colex ranks from byte
-    tables (`_ranked_images`), so neither the array of all masks nor an index
-    map exists until `index_maps` builds both, which only a fallback does.
+    Masks are `_mask_dtype(n)`, 4 bytes each up to n = 32.  `step` computes
+    the images of masks and their colex ranks from byte tables
+    (`_ranked_images`), so neither the array of all masks nor an index map
+    exists until `index_maps` builds both, which only a fallback does.
     Ascending masks have ascending ranks, so a sorted frontier of masks
     gathers its marks in ascending order.
     """
@@ -634,7 +656,7 @@ class _Subsets:
         return len(self.perms)
 
     def first(self, rank: int) -> np.ndarray:
-        return np.array([_colex_unrank(rank, self.n, self.k)], dtype=np.uint64)
+        return np.array([_colex_unrank(rank, self.n, self.k)], dtype=_mask_dtype(self.n))
 
     def step(self, t: int, frontier: np.ndarray) -> tuple:
         return _ranked_images(self.images[t], frontier, self.k, self.size)
@@ -686,7 +708,8 @@ def _peel_orbit(start: int, maps, seen: np.ndarray) -> int:
     images of a block under every generator with their ranks, keeping the
     unseen ones and marking them.  A generator is injective and the marks
     are set generator by generator, so the new frontier has no repeats; it
-    is sorted so that the next level's marks are read in ascending order.
+    is sorted, in place rather than by a copying np.sort, so that the next
+    level's marks are read in ascending order.
     """
     seen[start] = True
     frontier = maps.first(start)
@@ -700,7 +723,8 @@ def _peel_orbit(start: int, maps, seen: np.ndarray) -> int:
                 new = (~seen[ranks]).nonzero()[0]
                 seen[ranks] = True
                 parts.append(ahead.take(new))
-        frontier = np.sort(np.concatenate(parts))
+        frontier = np.concatenate(parts)
+        frontier.sort()
         orbit += frontier.size
     return orbit
 

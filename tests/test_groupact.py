@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache, reduce
 from math import comb, factorial, gcd, prod
@@ -82,6 +83,8 @@ def test_parse_matrix_group():
     unsupported = {"kind": "matrix", "n": 2, "q": 6, "generators": [[[1, 0], [0, 1]]]}
     with pytest.raises(DataError):
         parse_group(json.dumps(unsupported))
+    with pytest.raises(DataError, match="unsupported field size q = 6"):
+        replace(g, q=6)
 
 
 def test_group_order_examples():
@@ -347,6 +350,68 @@ def test_unionfind_many_byte_tables(n):
     assert [orbit_count_unionfind(cyclic, spec, k) for k in range(3)] == list(series.values[:3])
 
 
+def _necklaces(n, k):
+    """Orbits of C_n on the k-subsets of n points: sum of phi(d) C(n/d, k/d) over d | gcd(n, k), over n."""
+    def phi(d):
+        return sum(gcd(d, i) == 1 for i in range(1, d + 1))
+    g = gcd(n, k)
+    return sum(phi(d) * comb(n // d, k // d) for d in range(1, g + 1) if g % d == 0) // n
+
+
+def _bracelets(n, k):
+    """Orbits of D_n on the k-subsets: necklaces, plus the mean count the n reflections fix, over 2."""
+    if n % 2:  # every reflection fixes one point and swaps (n - 1)/2 pairs
+        fixed = n * comb((n - 1) // 2, k // 2)
+    else:  # n/2 fix two points and swap (n - 2)/2 pairs, n/2 swap n/2 pairs
+        through_points = sum(comb(2, j) * comb((n - 2) // 2, (k - j) // 2)
+                             for j in range(min(k, 2) + 1) if j % 2 == k % 2)
+        through_edges = comb(n // 2, k // 2) if k % 2 == 0 else 0
+        fixed = n // 2 * (through_points + through_edges)
+    return (n * _necklaces(n, k) + fixed) // (2 * n)
+
+
+def test_closed_forms_by_hand():
+    assert [_necklaces(6, k) for k in range(7)] == [1, 1, 3, 4, 3, 1, 1]
+    assert [_bracelets(6, k) for k in range(7)] == [1, 1, 3, 3, 3, 1, 1]
+    assert [_bracelets(5, k) for k in range(6)] == [1, 1, 2, 2, 1, 1]
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_counts_at_the_mask_width_boundary(n):
+    # 32 points are the widest uint32 masks, with bit 31 in use; 33 the first
+    # uint64 ones; k = 1 peels one orbit, k = 2, 3 fall back to label propagation
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple(-i % n for i in range(n))
+    spec = PosetSpec.boolean(n)
+    cyclic = Group(kind="permutation", degree=n, generators=(rotation,))
+    dihedral = Group(kind="permutation", degree=n, generators=(rotation, reflection))
+    for k in range(4):
+        assert orbit_count_unionfind(cyclic, spec, k) == _necklaces(n, k), k
+        assert orbit_count_unionfind(dihedral, spec, k) == _bracelets(n, k), k
+
+
+def _colex_rank(mask):
+    """Position of mask among the masks of its weight in ascending order: sum of C(c_m, m)."""
+    bits = [c for c in range(mask.bit_length()) if mask >> c & 1]
+    return sum(comb(c, m) for m, c in enumerate(bits, 1))
+
+
+def test_ranked_images_with_bit_31_set():
+    n = 32
+    rng = random.Random(31)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    spec = PosetSpec.boolean(n)
+    for k in (1, 2, 5, 16, 31, 32):
+        masks = [1 << 31 | sum(1 << c for c in rng.sample(range(31), k - 1)) for _ in range(50)]
+        for p in (tuple(range(n)), tuple(perm)):
+            want = [act(p, m, spec) for m in masks]
+            img, idx = groupact._ranked_images(
+                groupact._byte_images(p, 4), np.array(masks, dtype=np.uint32), k, comb(n, k))
+            assert img.dtype == np.uint32 and img.tolist() == want, k
+            assert idx.tolist() == [_colex_rank(m) for m in want], k
+
+
 @pytest.mark.parametrize("n,k", [(12, 6), (33, 2), (63, 1)])
 def test_boolean_index_map_matches_searchsorted(n, k):
     perm = list(range(n))
@@ -377,6 +442,21 @@ def test_a_generator_that_is_not_a_permutation_is_refused(gens):
         Group(kind="permutation", degree=4, generators=gens)
     g = Group(kind="permutation", degree=4, generators=((1, 2, 3, 0),))
     with pytest.raises(DataError, match="is not a permutation"):
+        replace(g, generators=gens)
+
+
+@pytest.mark.parametrize("gens,match", [
+    # with the swap, the singular matrix made group_order return |G| = 2
+    ((((1, 1), (0, 0)), ((0, 1), (1, 0))), r"generator 1: matrix is singular over GF\(2\)"),
+    ((((1, 0, 0), (0, 1, 0)),), "generator 1: matrix is not 2x2"),
+    ((((0, 1), (1, 0)), ((5, 0), (0, 1))), "generator 2: entry 5 outside 0..1"),
+])
+def test_a_matrix_generator_that_is_not_invertible_is_refused(gens, match):
+    with pytest.raises(DataError, match=match):
+        Group(kind="matrix", degree=2, q=2, generators=gens)
+    g = Group(kind="matrix", degree=2, q=2, generators=(((0, 1), (1, 0)),))
+    assert group_order(g) == 2
+    with pytest.raises(DataError, match=match):
         replace(g, generators=gens)
 
 
@@ -650,6 +730,26 @@ def test_m24_counts_without_label_propagation(monkeypatch):
     spec = PosetSpec.boolean(20)
     assert orbit_count_unionfind(c20, spec, 10) == burnside_counts(c20, spec).values[10]
     assert calls == ["_bool_mask_array", "_boolean_index_map", "_propagate_labels"]
+
+
+def test_m24_search_peak_memory():
+    # rank 11 of M24 (2,496,144 subsets) is three orbits, all searched: numpy's
+    # traced peak is the seen marks, the previous frontier and the next one
+    # twice (its parts and their concatenation), about 8.0 MiB with uint32
+    # masks and a frontier sorted in place; uint64 masks read 13.5 MiB, a
+    # copying np.sort 9.8 MiB, both together 17.1 MiB
+    g = parse_group(data_text("m24.json"))
+    pair = replace(g, generators=groupact._counting_generators(g, comb(24, 11)))
+    assert len(pair.generators) == 2
+    groupact._colex_tables(3)
+    tracemalloc.start()
+    try:
+        count = orbit_count_unionfind(pair, PosetSpec.boolean(24), 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 3
+    assert peak < 9 * 2**20, peak
 
 
 # ---------------------------------------------------------------- colex ranks of masks
