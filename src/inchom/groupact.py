@@ -574,163 +574,132 @@ def _byte_images(perm, nbytes: int) -> np.ndarray:
 
 
 def _ranked_images(images: np.ndarray, masks: np.ndarray, k: int, size: int) -> tuple:
-    """(the images of masks under one permutation, their colex ranks).
+    """(the images of masks under every permutation, their colex ranks), each generators x masks.
 
-    `images` is the permutation's `_byte_images`: the image of a mask is the
-    OR of one lookup per byte, and its rank the sum of one `_colex_tables`
+    `images` stacks the permutations' `_byte_images`: the image of a mask is
+    the OR of one lookup per byte, and its rank the sum of one `_colex_tables`
     entry per byte of the image.  Every image must have weight k (the row
     offset ends at 256 k) and a rank inside 0..size-1, or the count stops
     with InternalConsistencyError: a point sent to n or beyond, or two
     points of a mask sent to one, fails here.  The tables are exact, so an
     image that passes is the weight-k mask stored at its rank.
     """
-    nbytes = len(images)
+    gens, nbytes = images.shape[:2]
     colex, step = _colex_tables(nbytes)
     # little-endian views of the masks' own width, 4 or 8 bytes: column b of
     # a byte view holds bits 8b..8b+7
     width = images.dtype.itemsize
     order = f"<u{width}"
     src = masks.astype(order, copy=False).view(np.uint8).reshape(-1, width)
-    img = images[0].take(src[:, 0])
+    img = images[:, 0].take(src[:, 0], axis=1)
     for b in range(1, nbytes):
-        img |= images[b].take(src[:, b])
-    dst = img.astype(order, copy=False).view(np.uint8).reshape(-1, width)
-    idx = colex[0].take(dst[:, 0])
-    row = step.take(dst[:, 0])
+        img |= images[:, b].take(src[:, b], axis=1)
+    dst = img.astype(order, copy=False).view(np.uint8).reshape(gens, -1, width)
+    idx = colex[0].take(dst[..., 0])
+    row = step.take(dst[..., 0])
     for b in range(1, nbytes):
-        idx += colex[b].take(row + dst[:, b])
-        row += step.take(dst[:, b])
+        idx += colex[b].take(row + dst[..., b])
+        row += step.take(dst[..., b])
     # table entries are never negative, so idx >= 0 holds already
     if not ((row == 256 * k) & (idx < size)).all():
         raise InternalConsistencyError("permutation image left the rank set")
     return img, idx
 
 
-def _boolean_index_map(masks: np.ndarray, perm, k: int) -> np.ndarray:
-    """Positions in masks (all weight-k masks, ascending) of the images of masks under perm."""
-    size = masks.size
-    images = _byte_images(perm, (len(perm) + 7) // 8)
-    out = np.empty(size, dtype=_index_dtype(size))
-    for s in range(0, size, _BLOCK):
-        out[s : s + _BLOCK] = _ranked_images(images, masks[s : s + _BLOCK], k, size)[1]
-    return out
-
-
-class _IndexMaps:
-    """Generators given as index maps: an element is carried as its own index."""
-
-    def __init__(self, maps):
-        self.maps = maps
-
-    def __len__(self):
-        return len(self.maps)
-
-    def first(self, rank: int) -> np.ndarray:
-        return np.array([rank], dtype=self.maps[0].dtype)
-
-    def step(self, t: int, frontier: np.ndarray) -> tuple:
-        ahead = self.maps[t][frontier]
-        return ahead, ahead
-
-    def index_maps(self) -> list:
-        return self.maps
-
-
 class _Subsets:
     """Permutations of n points acting on weight-k n-bit masks, each element carried as its mask.
 
     Masks are `_mask_dtype(n)`, 4 bytes each up to n = 32.  `step` computes
-    the images of masks and their colex ranks from byte tables
-    (`_ranked_images`), so neither the array of all masks nor an index map
-    exists until `index_maps` builds both, which only a fallback does.
-    Ascending masks have ascending ranks, so a sorted frontier of masks
-    gathers its marks in ascending order.
+    the images of a block of masks under every generator and their colex
+    ranks from the stacked byte tables (`_ranked_images`), so neither the
+    array of all masks nor an index map exists until `index_maps` builds
+    both through `step`, which only a fallback does.  Ascending masks have
+    ascending ranks, so a sorted frontier of masks gathers its marks in
+    ascending order.
     """
 
     def __init__(self, perms, n: int, k: int):
         _check_mask_width(n)
-        self.perms, self.n, self.k, self.size = perms, n, k, comb(n, k)
-        self.images = [_byte_images(perm, (n + 7) // 8) for perm in perms]
-
-    def __len__(self):
-        return len(self.perms)
+        self.n, self.k, self.size = n, k, comb(n, k)
+        self.images = np.stack([_byte_images(perm, (n + 7) // 8) for perm in perms])
 
     def first(self, rank: int) -> np.ndarray:
         return np.array([_colex_unrank(rank, self.n, self.k)], dtype=_mask_dtype(self.n))
 
-    def step(self, t: int, frontier: np.ndarray) -> tuple:
-        return _ranked_images(self.images[t], frontier, self.k, self.size)
+    def step(self, frontier: np.ndarray) -> tuple:
+        return _ranked_images(self.images, frontier, self.k, self.size)
 
-    def index_maps(self) -> list:
+    def index_maps(self) -> np.ndarray:
+        """Position of the image of every element under every generator (generators x size)."""
         masks = _bool_mask_array(self.n, self.k)
-        return [_boolean_index_map(masks, perm, self.k) for perm in self.perms]
+        maps = np.empty((len(self.images), self.size), dtype=_index_dtype(self.size))
+        for s in range(0, self.size, _BLOCK):
+            maps[:, s : s + _BLOCK] = self.step(masks[s : s + _BLOCK])[1]
+        return maps
 
 
-def _count_components(size: int, maps) -> int:
-    """Number of orbits on 0..size-1 of the group generated by `maps`.
+def _count_components(subsets: _Subsets) -> int:
+    """Number of orbits of the group generated by the generators of `subsets` on its rank set.
 
-    `maps` holds one index map per generator, or is a `_Subsets`, which
-    computes images as it goes.  Every generator acts as a permutation, so
-    the elements reached forward from i form the whole orbit of i; no
-    inverses are needed.  Phase 1 peels orbits one at a time by breadth-first
-    search (`_peel_orbit`), each from the least index not yet seen.  It suits
-    a few large orbits: each element's images are computed once.  Phase 2 is
-    the stop rule: once an orbit holds less than 1/8 of what was unseen
-    before it, the seen marks are dropped and `_propagate_labels` counts
-    every orbit from scratch, on the index maps.  Each peel that continues
-    removes at least 1/8 of what is left, so there are at most
-    ln(size)/ln(8/7) + 1 traversals (112 for 2.7M elements), and a fallback
-    wastes at most one pass over the elements, about a third of what the
-    propagation itself costs.
+    Every generator acts as a permutation, so the elements reached forward
+    from i form the whole orbit of i; no inverses are needed.  Phase 1 peels
+    orbits one at a time by breadth-first search (`_peel_orbit`), each from
+    the least index not yet seen.  It suits a few large orbits: each
+    element's images are computed once.  Phase 2 is the stop rule: once an
+    orbit holds less than 1/8 of what was unseen before it, the seen marks
+    are dropped and `_propagate_labels` counts every orbit from scratch, on
+    the index maps.  Each peel that continues removes at least 1/8 of what
+    is left, so there are at most ln(size)/ln(8/7) + 1 traversals (112 for
+    2.7M elements), and a fallback wastes at most one pass over the
+    elements, about a third of what the propagation itself costs.
     """
-    if not maps:
-        return size
-    if not isinstance(maps, _Subsets):
-        maps = _IndexMaps(maps)
+    size = subsets.size
     seen = np.zeros(size, dtype=bool)
     count, left, start = 0, size, 0
     while left:
         start += int(np.argmin(seen[start:]))
-        orbit = _peel_orbit(start, maps, seen)
+        orbit = _peel_orbit(start, subsets, seen)
         if 8 * orbit < left:
             del seen
-            return _propagate_labels(size, maps.index_maps())
+            return _propagate_labels(size, subsets.index_maps())
         count += 1
         left -= orbit
     return count
 
 
-def _peel_orbit(start: int, maps, seen: np.ndarray) -> int:
+def _peel_orbit(start: int, subsets: _Subsets, seen: np.ndarray) -> int:
     """Mark the orbit of index start in seen by breadth-first search; return its size.
 
-    `maps` is an `_IndexMaps` or a `_Subsets`.  The frontier holds elements
-    in their carried form, and each level takes it in blocks, computing the
-    images of a block under every generator with their ranks, keeping the
-    unseen ones and marking them.  A generator is injective and the marks
-    are set generator by generator, so the new frontier has no repeats; it
-    is sorted, in place rather than by a copying np.sort, so that the next
-    level's marks are read in ascending order.
+    The frontier holds masks, and each level takes it in blocks, computing
+    the images of a block under every generator at once with their ranks.
+    The unseen images are kept and marked one generator row at a time; a
+    generator is injective, so the new frontier has no repeats.  The old
+    frontier and the last step's output are released before the new one is
+    joined, which is then sorted, in place rather than by a copying np.sort,
+    so that the next level's marks are read in ascending order.
     """
     seen[start] = True
-    frontier = maps.first(start)
+    frontier = subsets.first(start)
     orbit = 1
     while frontier.size:
         parts = []
         for s in range(0, frontier.size, _BLOCK):
             block = frontier[s : s + _BLOCK]
-            for t in range(len(maps)):
-                ahead, ranks = maps.step(t, block)
-                new = (~seen[ranks]).nonzero()[0]
-                seen[ranks] = True
-                parts.append(ahead.take(new))
+            ahead, ranks = subsets.step(block)
+            for t in range(len(ranks)):
+                new = (~seen[ranks[t]]).nonzero()[0]
+                seen[ranks[t]] = True
+                parts.append(ahead[t].take(new))
+        del frontier, block, ahead, ranks
         frontier = np.concatenate(parts)
+        del parts
         frontier.sort()
         orbit += frontier.size
     return orbit
 
 
-def _propagate_labels(size: int, maps) -> int:
-    """Number of orbits of the index maps by label propagation.
+def _propagate_labels(size: int, maps: np.ndarray) -> int:
+    """Number of orbits of the index maps (generators x size) by label propagation.
 
     The orbits are the connected components of the graph with an edge from
     every i to each img[i].  Every label starts as its own index and each
@@ -766,30 +735,31 @@ def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = N
     """Exact number of generator-closure orbits on the rank-k elements.
 
     It counts with the generators of g as given; `inchom orbits` passes the
-    pair `_counting_generators` certifies, chosen once per command.  On
-    subsets they act on masks directly (`_Subsets`): images come from byte
-    tables and are ranked in colex order as the search reaches them, and
-    masks and index maps are built only if the count falls back to label
-    propagation.  On subspaces each generator becomes an index map, built
-    once by `act` and the canonical-form index.  `_count_components` counts
-    the orbits: breadth-first search while the orbits are large, one label
-    propagation over the whole rank set once they turn small.
+    pair `_counting_generators` certifies, chosen once per command.  Without
+    generators every element is its own orbit.  On subsets they act on masks
+    directly (`_Subsets`), and `_count_components` counts: breadth-first
+    search while the orbits are large, one label propagation over the whole
+    rank set once they turn small.  On subspaces each generator becomes an
+    index map, built by `act` and the canonical-form index before counting
+    starts, and `_propagate_labels` counts over those maps.
     """
     _check_action(g, spec)
     size = poset._check_cap(spec, k, cap)
     if size == 0:
         raise ValueError(f"rank {k} of {spec.describe()} is empty")
+    if not g.generators:
+        return size
 
     if spec.kind == "boolean":
-        return _count_components(size, _Subsets(g.generators, spec.n, k))
-    elements = poset._proj_elements(spec, k)
+        return _count_components(_Subsets(g.generators, spec.n, k))
+    elements = poset._rref_profiles(k, spec.n, spec.q)
     index = poset._proj_index(spec, k)
-    maps = [
+    maps = np.stack([
         np.fromiter((index[act(mat, x, spec)] for x in elements),
                     dtype=_index_dtype(size), count=size)
         for mat in g.generators
-    ]
-    return _count_components(size, maps)
+    ])
+    return _propagate_labels(size, maps)
 
 
 def act(element, x, spec: PosetSpec):

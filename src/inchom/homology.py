@@ -213,7 +213,11 @@ class HomologyTable:
         return dim
 
     def _trace_values(self, j: int, i: int) -> tuple:
-        """(slot, lhs, rhs) of the trace identity through (j, i), for 0 < i < pi."""
+        """(slot, lhs, rhs) of the trace identity through (j, i), for 0 < i < pi.
+
+        A negative signed rhs would mean the position convention broke, so it
+        raises InternalConsistencyError on every route: scan, trace and cell.
+        """
         pi, n = self.pi, self.spec.n
         slot = distinguished_slot(n, pi, j, i) or (j, i)
         js, is_ = slot
@@ -221,6 +225,10 @@ class HomologyTable:
         lhs = self.dim(js, is_) if 0 <= js <= n else 0
         a, b, d = _initial_arrow(js, is_, pi)
         rhs = (-1) ** d * (self.folded.get(b % pi, 0) - self.folded.get(a % pi, 0))
+        if rhs < 0:
+            raise InternalConsistencyError(
+                f"negative signed trace value {rhs} at (j={j}, i={i})"
+            )
         return slot, lhs, rhs
 
     def trace(self, j: int, i: int) -> TraceCheck:
@@ -249,10 +257,6 @@ class HomologyTable:
                 window = vanishing_window(n, pi, j, i)
                 dim = self.dim(j, i)
                 _, lhs, rhs = self._trace_values(j, i)
-                if rhs < 0:
-                    raise InternalConsistencyError(
-                        f"negative signed trace value {rhs} at (j={j}, i={i})"
-                    )
                 passed = lhs == rhs and (window or dim == 0)
                 ok = ok and passed
                 records.append(ScanRecord(j, i, dim, window, lhs, rhs, passed))

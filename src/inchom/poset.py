@@ -118,13 +118,8 @@ def _rref_profiles(k: int, n: int, q: int) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _proj_elements(spec: PosetSpec, k: int) -> tuple:
-    return _rref_profiles(k, spec.n, spec.q)
-
-
-@lru_cache(maxsize=16)
 def _proj_index(spec: PosetSpec, k: int) -> dict:
-    return {x: i for i, x in enumerate(_proj_elements(spec, k))}
+    return {x: i for i, x in enumerate(_rref_profiles(k, spec.n, spec.q))}
 
 
 def enumerate_rank(spec: PosetSpec, k: int, cap: int | None = None) -> list:
@@ -136,7 +131,7 @@ def enumerate_rank(spec: PosetSpec, k: int, cap: int | None = None) -> list:
         from .groupact import _bool_mask_array  # deferred: groupact loads numpy
 
         return [int(m) for m in _bool_mask_array(spec.n, k)]
-    return list(_proj_elements(spec, k))
+    return list(_rref_profiles(k, spec.n, spec.q))
 
 
 def canonical_form(spec: PosetSpec, x):

@@ -77,6 +77,23 @@ def test_homology_single_pair(capsys):
     assert res["pi"] == 3
 
 
+def test_broken_sign_convention_aborts_scan_and_cell(capsys, monkeypatch):
+    # with the folded sums negated, every positive signed trace value turns
+    # negative; the scan and a single cell must both stop, not report a fail
+    init = HomologyTable.__init__
+
+    def flipped(self, *args):
+        init(self, *args)
+        self.folded = {r: -v for r, v in self.folded.items()}
+
+    monkeypatch.setattr(HomologyTable, "__init__", flipped)
+    for cell in ((), ("-j", "3", "-i", "1")):
+        code, doc = run_json(capsys, "homology", "boolean:6", "-p", "3", *cell)
+        assert code == 2 and doc["status"] == "error", cell
+        assert doc["results"]["type"] == "InternalConsistencyError", cell
+        assert "negative signed trace value" in doc["results"]["error"], cell
+
+
 def test_homology_scan_projective(capsys):
     code, doc = run_json(capsys, "homology", "projective:4,2", "-p", "3")
     assert code == 0 and doc["results"]["pi"] == 2

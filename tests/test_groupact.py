@@ -23,7 +23,6 @@ from inchom.errors import DataError, InternalConsistencyError, ResourceLimitErro
 from inchom.groupact import (
     Group,
     _bool_mask_array,
-    _boolean_index_map,
     _count_components,
     _propagate_labels,
     act,
@@ -407,9 +406,9 @@ def test_ranked_images_with_bit_31_set():
         for p in (tuple(range(n)), tuple(perm)):
             want = [act(p, m, spec) for m in masks]
             img, idx = groupact._ranked_images(
-                groupact._byte_images(p, 4), np.array(masks, dtype=np.uint32), k, comb(n, k))
-            assert img.dtype == np.uint32 and img.tolist() == want, k
-            assert idx.tolist() == [_colex_rank(m) for m in want], k
+                groupact._byte_images(p, 4)[None], np.array(masks, dtype=np.uint32), k, comb(n, k))
+            assert img.dtype == np.uint32 and img.tolist() == [want], k
+            assert idx.tolist() == [[_colex_rank(m) for m in want]], k
 
 
 @pytest.mark.parametrize("n,k", [(12, 6), (33, 2), (63, 1)])
@@ -418,9 +417,9 @@ def test_boolean_index_map_matches_searchsorted(n, k):
     random.Random(7).shuffle(perm)
     masks = _bool_mask_array(n, k)
     images = np.array([act(perm, int(m), PosetSpec.boolean(n)) for m in masks], dtype=np.uint64)
-    got = _boolean_index_map(masks, perm, k)
-    assert got.dtype == np.int32
-    assert np.array_equal(got, np.searchsorted(masks, images))
+    got = groupact._Subsets((perm,), n, k).index_maps()
+    assert got.dtype == np.int32 and got.shape == (1, masks.size)
+    assert np.array_equal(got[0], np.searchsorted(masks, images))
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 2), (0, 1, 5), (2, 3, 1)])
@@ -428,7 +427,7 @@ def test_image_outside_rank_set_is_caught(bad):
     # not permutations of 0..2: two points merge, or a point leaves the 3-set;
     # Group refuses them, so they reach the counter below it
     with pytest.raises(InternalConsistencyError):
-        _count_components(3, groupact._Subsets((bad,), 3, 2))
+        _count_components(groupact._Subsets((bad,), 3, 2))
 
 
 @pytest.mark.parametrize("gens", [
@@ -581,11 +580,10 @@ def test_counter_phases_agree_with_brute_force(gens):
     n = len(gens[0])
     spec = PosetSpec.boolean(n)
     for k in range(n + 1):
-        masks = _bool_mask_array(n, k)
-        maps = [_boolean_index_map(masks, perm, k) for perm in gens]
+        subsets = groupact._Subsets(gens, n, k)
         want = brute_orbit_count(gens, enumerate_rank(spec, k), lambda p, m: act(p, m, spec))
-        assert _count_components(masks.size, maps) == want, k
-        assert _propagate_labels(masks.size, maps) == want, k
+        assert _count_components(subsets) == want, k
+        assert _propagate_labels(subsets.size, subsets.index_maps()) == want, k
 
 
 @settings(max_examples=40, deadline=None)
@@ -608,8 +606,8 @@ def counter_spy(monkeypatch):
     record = {"peeled": [], "fallbacks": 0}
     peel, propagate = groupact._peel_orbit, groupact._propagate_labels
 
-    def peeling(start, maps, seen):
-        size = peel(start, maps, seen)
+    def peeling(start, subsets, seen):
+        size = peel(start, subsets, seen)
         record["peeled"].append(size)
         return size
 
@@ -709,7 +707,7 @@ def test_m24_counts_without_label_propagation(monkeypatch):
             raise AssertionError(f"{name} ran during the search")
         return refusing
 
-    for name in ("_propagate_labels", "_boolean_index_map", "_bool_mask_array"):
+    for name in ("_propagate_labels", "_bool_mask_array"):
         monkeypatch.setattr(groupact, name, refuse(name))
     g = parse_group(data_text("m24.json"))
     spec = PosetSpec.boolean(24)
@@ -718,10 +716,11 @@ def test_m24_counts_without_label_propagation(monkeypatch):
         assert orbit_count_unionfind(g, spec, k) * order == fixed, k
     monkeypatch.undo()
 
-    # C_20 on the 10-subsets of 20 points falls back: it builds the masks once
-    # and the map of its one generator, and propagates labels over them
+    # C_20 on the 10-subsets of 20 points falls back: it builds the masks once,
+    # ranks their images into the map of its one generator, and propagates
+    # labels over it
     calls = []
-    for name in ("_propagate_labels", "_boolean_index_map", "_bool_mask_array"):
+    for name in ("_propagate_labels", "_bool_mask_array"):
         def spying(*args, _f=getattr(groupact, name), _name=name):
             calls.append(_name)
             return _f(*args)
@@ -729,15 +728,15 @@ def test_m24_counts_without_label_propagation(monkeypatch):
     c20 = Group(kind="permutation", degree=20, generators=(tuple((i + 1) % 20 for i in range(20)),))
     spec = PosetSpec.boolean(20)
     assert orbit_count_unionfind(c20, spec, 10) == burnside_counts(c20, spec).values[10]
-    assert calls == ["_bool_mask_array", "_boolean_index_map", "_propagate_labels"]
+    assert calls == ["_bool_mask_array", "_propagate_labels"]
 
 
 def test_m24_search_peak_memory():
     # rank 11 of M24 (2,496,144 subsets) is three orbits, all searched: numpy's
-    # traced peak is the seen marks, the previous frontier and the next one
-    # twice (its parts and their concatenation), about 8.0 MiB with uint32
-    # masks and a frontier sorted in place; uint64 masks read 13.5 MiB, a
-    # copying np.sort 9.8 MiB, both together 17.1 MiB
+    # traced peak is the seen marks and the next frontier twice (its parts and
+    # their concatenation), about 7.5 MiB with uint32 masks, the previous
+    # frontier released and the new one sorted in place; keeping the previous
+    # frontier reads 8.2 MiB, a copying np.sort 8.04 MiB, uint64 masks 11.3 MiB
     g = parse_group(data_text("m24.json"))
     pair = replace(g, generators=groupact._counting_generators(g, comb(24, 11)))
     assert len(pair.generators) == 2
@@ -749,7 +748,7 @@ def test_m24_search_peak_memory():
     finally:
         tracemalloc.stop()
     assert count == 3
-    assert peak < 9 * 2**20, peak
+    assert peak < 8 * 2**20, peak
 
 
 # ---------------------------------------------------------------- colex ranks of masks
@@ -771,8 +770,9 @@ def test_colex_unrank_round_trips_through_the_ranks(case):
     mask = groupact._colex_unrank(i, n, k)
     assert mask.bit_count() == k and mask < 1 << n
     identity = groupact._byte_images(tuple(range(n)), (n + 7) // 8)
-    img, idx = groupact._ranked_images(identity, np.array([mask], dtype=np.uint64), k, comb(n, k))
-    assert img.tolist() == [mask] and idx.tolist() == [i]
+    img, idx = groupact._ranked_images(identity[None], np.array([mask], dtype=np.uint64), k,
+                                       comb(n, k))
+    assert img.tolist() == [[mask]] and idx.tolist() == [[i]]
 
 
 def test_colex_tables_are_checked_entry_by_entry():
@@ -801,11 +801,8 @@ def _with_a_rank(gens):
 def test_search_on_masks_counts_as_the_index_maps_do(case):
     # degrees up to 40 need up to five byte tables
     gens, k = case
-    n = len(gens[0])
-    masks = _bool_mask_array(n, k)
-    maps = [_boolean_index_map(masks, perm, k) for perm in gens]
-    assert (_count_components(masks.size, groupact._Subsets(gens, n, k))
-            == _count_components(masks.size, maps))
+    subsets = groupact._Subsets(gens, len(gens[0]), k)
+    assert _count_components(subsets) == _propagate_labels(subsets.size, subsets.index_maps())
 
 
 # ---------------------------------------------------------------- the counting pair
@@ -1113,3 +1110,22 @@ def test_singer_cycle_counts_match_the_closed_form(draw_spy, n, q, top):
     # one generator: the counter never draws, and never uses more generators
     assert groupact._counting_generators(g, 10**9) is g.generators
     assert draw_spy == []
+
+
+def test_subspace_counts_propagate_labels_without_a_search(benchmark_path, monkeypatch):
+    # `act` builds every subspace map before counting starts, so the counter
+    # propagates labels over them at once and never peels an orbit
+    def refusing(*args):
+        raise AssertionError("a subspace count peeled an orbit")
+
+    monkeypatch.setattr(groupact, "_peel_orbit", refusing)
+    singer = parse_group(json.dumps({"kind": "matrix", "n": 6, "q": 2,
+                                     "generators": [_singer_cycle(6, 2)]}))
+    spec = PosetSpec.projective(6, 2)
+    assert [orbit_count_unionfind(singer, spec, k) for k in range(7)] == singer_orbit_counts(6, 2)
+    # GL(a, q) x GL(b, q) in the benchmark's basis, against the Goursat series
+    for a, b, q in [(2, 2, 2), (2, 3, 2), (2, 2, 3)]:
+        g, group = _benchmark_matrix_group(a, b, q)
+        spec = PosetSpec.projective(group.n, q)
+        assert [orbit_count_unionfind(g, spec, k) for k in range(group.n + 1)] == list(
+            group.series), (a, b, q)
