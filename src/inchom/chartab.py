@@ -248,7 +248,8 @@ def load_table(source: str) -> CharacterTable:
         raise DataError(
             "table file needs group_order, classes and irreducibles"
         ) from None
-    if not isinstance(order, int) or order < 1:
+    # JSON true is an int to Python, so the type is tested exactly
+    if type(order) is not int or order < 1:
         raise DataError(f"bad group_order {order!r}")
     classes = []
     for i, c in enumerate(raw_classes):
@@ -256,7 +257,7 @@ def load_table(source: str) -> CharacterTable:
             name, size = c["name"], c["size"]
         except (KeyError, TypeError):
             raise DataError(f"class {i + 1}: needs name and size") from None
-        if not isinstance(size, int) or size < 1:
+        if type(size) is not int or size < 1:
             raise DataError(f"class {name!r}: bad size {size!r}")
         ct = c.get("cycle_type")
         if ct is not None:

@@ -456,6 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # folded sums of large projective posets run to thousands of digits
+    # (4,335 for projective:120,16), and from 3.10.7 on Python refuses to
+    # print an int of more than 4,300 digits unless this lifts the limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:

@@ -15,7 +15,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb, prod
 from operator import itemgetter
 
@@ -122,11 +122,26 @@ class Group:
             # `_point_action` needs every generator to permute the vectors it
             # reaches; a singular or malformed matrix would give a wrong |G|
             try:
-                gf.field(self.q if isinstance(self.q, int) else -1)
+                gf.field(self.q if type(self.q) is int else -1)
             except ValueError as exc:
                 raise DataError(f"unsupported field size q = {self.q!r}: {exc}") from None
             for i, mat in enumerate(self.generators):
                 _validate_matrix_generator(mat, self.degree, self.q, f"generator {i + 1}")
+
+    @cached_property
+    def _chain(self) -> tuple:
+        """(the points G acts on, the generators as permutations of them, their stabilizer chain).
+
+        Built on first use and kept on this object alone: a permutation
+        group acts on its points, a matrix group on the vectors of
+        `_point_action`.  An equal Group built anew builds its own, so no
+        result depends on what was computed before.
+        """
+        if self.kind == "permutation":
+            points, perms = range(self.degree), self.generators
+        else:
+            points, perms = _point_action(self)
+        return points, perms, _stabilizer_chain(perms, len(points))
 
 
 def _validate_matrix_generator(mat, n: int, q: int, where: str):
@@ -136,7 +151,7 @@ def _validate_matrix_generator(mat, n: int, q: int, where: str):
         raise DataError(f"{where}: matrix is not {n}x{n}")
     for r in mat:
         for v in r:
-            if not isinstance(v, int) or not (0 <= v < q):
+            if type(v) is not int or not (0 <= v < q):
                 raise DataError(f"{where}: entry {v!r} outside 0..{q - 1}")
     if len(gf.rref(mat, n, gf.field(q))) != n:
         raise DataError(f"{where}: matrix is singular over GF({q})")
@@ -157,12 +172,13 @@ def parse_group(source: str, name: str = "") -> Group:
         raise DataError("group file must be an object with a 'kind' field")
     kind = doc["kind"]
     declared = doc.get("order")
-    if declared is not None and (not isinstance(declared, int) or declared < 1):
+    # JSON true and false are ints to Python, so every number is tested by type
+    if declared is not None and (type(declared) is not int or declared < 1):
         raise DataError(f"declared order {declared!r} is not a positive integer")
 
     if kind == "permutation":
         degree = doc.get("degree")
-        if not isinstance(degree, int) or degree < 1:
+        if type(degree) is not int or degree < 1:
             raise DataError(f"bad degree {degree!r}")
         raw = doc.get("generators")
         if not isinstance(raw, list) or not raw:
@@ -182,7 +198,7 @@ def parse_group(source: str, name: str = "") -> Group:
 
     if kind == "matrix":
         n = doc.get("n")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise DataError(f"bad dimension n = {n!r}")
         raw = doc.get("generators")
         if not isinstance(raw, list) or not raw:
@@ -196,7 +212,6 @@ def parse_group(source: str, name: str = "") -> Group:
     raise DataError(f"unknown group kind {kind!r}")
 
 
-@lru_cache(maxsize=8)
 def _stabilizer_chain(gens, n: int) -> tuple:
     """One {orbit point x: u in G_i with u(b_i) = x} per base point b_i, G_i fixing b_0..b_{i-1}.
 
@@ -312,38 +327,18 @@ def _point_action(g: Group) -> tuple:
             if w not in index:
                 index[w] = len(points)
                 points.append(w)
-                _check_point_count(len(points))
+                if len(points) ** 2 > MAX_CHAIN_ENTRIES:
+                    raise ResourceLimitError(
+                        f"the matrix group moves at least {len(points)} vectors, and "
+                        f"{len(points)}^2 exceeds MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
+                    )
             img.append(index[w])
     return tuple(points), tuple(map(tuple, images))
 
 
-def _check_point_count(count: int):
-    if count**2 > MAX_CHAIN_ENTRIES:
-        raise ResourceLimitError(
-            f"the matrix group moves at least {count} vectors, and "
-            f"{count}^2 exceeds MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
-        )
-
-
-@lru_cache(maxsize=8)
-def _permutation_form(g: Group) -> tuple:
-    """(the points G acts on, the generators as permutations of them)."""
-    if g.kind == "permutation":
-        return range(g.degree), g.generators
-    return _point_action(g)
-
-
 def group_order(g: Group) -> int:
-    """Exact |G| from the stabilizer chain; a declared order is always checked.
-
-    A permutation group's chain is on its points, a matrix group's on the
-    vectors of `_point_action`, read from the cached `_permutation_form`; the
-    bound on those vectors is checked on every call, cached or not.
-    """
-    points, perms = _permutation_form(g)
-    if g.kind == "matrix":
-        _check_point_count(len(points))
-    order = prod(len(tr) for tr in _stabilizer_chain(perms, len(points)))
+    """Exact |G| from g's stabilizer chain; a declared order is always checked."""
+    order = prod(map(len, g._chain[2]))
     if g.declared_order is not None and g.declared_order != order:
         raise DataError(f"declared order {g.declared_order} but computed {order}")
     return order
@@ -356,26 +351,24 @@ def _counting_generators(g: Group, total: int) -> tuple:
     one image per element counted.  So a group of more than two generators is
     replaced by the first seeded random pair that generates it.  Draw i takes
     random.Random(i) and makes x and y each a product u_0 u_1 ... of one
-    uniformly chosen coset representative per level of G's cached chain, so
-    both are uniform in G and the same in every process.  A pair is accepted
-    when its chain, built uncached so that G's stays in the cache, has order
-    |G|: a subgroup of the same order is G.  A successful draw builds a chain
-    as large as G's, and Schreier-Sims sifts a Schreier generator for each
-    orbit point and strong generator of a level (up to one strong generator
-    per level below it), each through up to every level; so a draw is counted
-    as the slots of G's chain times its levels squared, and the draws stop
-    once their count would pass the (generators - 2) x total images a pair
-    saves, or at GENERATOR_DRAWS.  Without an accepted pair the input
-    generators are kept.  A matrix group draws among the permutations of P
-    (`_point_action`); the matrix of a drawn permutation x has column c equal
-    to the point x(e_c), P's first n points being the standard basis
-    e_0..e_{n-1}.
+    uniformly chosen coset representative per level of G's chain, so both
+    are uniform in G and the same in every process.  A pair is accepted when
+    its chain has order |G|: a subgroup of the same order is G.  A
+    successful draw builds a chain as large as G's, and Schreier-Sims sifts
+    a Schreier generator for each orbit point and strong generator of a
+    level (up to one strong generator per level below it), each through up
+    to every level; so a draw is counted as the slots of G's chain times its
+    levels squared, and the draws stop once their count would pass the
+    (generators - 2) x total images a pair saves, or at GENERATOR_DRAWS.
+    Without an accepted pair the input generators are kept.  A matrix group
+    draws among the permutations of P (`_point_action`); the matrix of a
+    drawn permutation x has column c equal to the point x(e_c), P's first n
+    points being the standard basis e_0..e_{n-1}.
     """
     if len(g.generators) <= 2:
         return g.generators
-    points, perms = _permutation_form(g)
+    points, _, chain = g._chain
     degree = len(points)
-    chain = _stabilizer_chain(perms, degree)
     work = degree * sum(map(len, chain)) * len(chain) ** 2
     draws = min(GENERATOR_DRAWS, (len(g.generators) - 2) * total // max(1, work))
     order = prod(map(len, chain))
@@ -383,7 +376,7 @@ def _counting_generators(g: Group, total: int) -> tuple:
         rng = random.Random(draw)
         pair = tuple(reduce(_pmul, [rng.choice(list(tr.values())) for tr in chain],
                             _identity(degree)) for _ in range(2))
-        if prod(map(len, _stabilizer_chain.__wrapped__(pair, degree))) == order:
+        if prod(map(len, _stabilizer_chain(pair, degree))) == order:
             break
     else:
         return g.generators
@@ -458,7 +451,7 @@ def burnside_counts(g: Group, spec: PosetSpec, cap: int | None = None) -> OrbitS
     if order > limit:
         raise ResourceLimitError(f"|G| = {order} exceeds the cap {limit}")
     elements = [_identity(g.degree)]
-    for tr in reversed(_stabilizer_chain(g.generators, g.degree)):
+    for tr in reversed(g._chain[2]):
         elements = [_pmul(u, h) for u in tr.values() for h in elements]
     type_counts = Counter(map(cycle_type, elements))
     n = spec.n
@@ -753,7 +746,7 @@ def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = N
     if spec.kind == "boolean":
         return _count_components(_Subsets(g.generators, spec.n, k))
     elements = poset._rref_profiles(k, spec.n, spec.q)
-    index = poset._proj_index(spec, k)
+    index = {x: i for i, x in enumerate(elements)}
     maps = np.stack([
         np.fromiter((index[act(mat, x, spec)] for x in elements),
                     dtype=_index_dtype(size), count=size)

@@ -117,11 +117,6 @@ def _rref_profiles(k: int, n: int, q: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def _proj_index(spec: PosetSpec, k: int) -> dict:
-    return {x: i for i, x in enumerate(_rref_profiles(k, spec.n, spec.q))}
-
-
 def enumerate_rank(spec: PosetSpec, k: int, cap: int | None = None) -> list:
     """Deterministic sorted list of the rank-k elements; empty outside 0..n."""
     if k < 0 or k > spec.n:

@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +21,7 @@ from inchom.cli import _chain_pis, data_text, main
 from inchom.groupact import cycles_of, orbit_count_unionfind, parse_group
 from inchom.homology import HomologyTable
 from inchom.poset import PosetSpec
-from inchom.qarith import FieldSpec, is_prime
+from inchom.qarith import FieldSpec, gauss_row, is_prime
 from test_groupact import MATRIX_GROUPS
 
 # N_0..N_12 of M24 on the subsets of its 24 points
@@ -141,6 +140,41 @@ def test_homology_cell_at_a_mersenne_prime_returns(poset, extra, pi):
 def test_homology_scan_at_a_mersenne_prime_fails_fast():
     code, doc = _cli_within(20, "homology", "boolean:6", "-p", str(2**61 - 1))
     assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default 4,300-digit limit on int-to-string conversion, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int-to-string conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_reports_print_integers_of_any_length(int_digit_limit, capsys):
+    # at pi(3, 16) = 3 the folded rank sizes of projective:120,16 have 4,335
+    # digits; the report used to stop halfway with a ValueError and exit 1
+    folded = [0, 0, 0]
+    for k, size in enumerate(gauss_row(120, 16)):
+        folded[k % 3] += size
+    rhs = folded[0] - folded[1]
+    assert rhs > 10**4300
+    for cell in ((), ("-j", "60", "-i", "1")):
+        for report in (("--json",), ()):
+            sys.set_int_max_str_digits(4300)
+            code, out, _ = run(capsys, "homology", "projective:120,16", "-p", "3",
+                               *cell, *report)
+            sys.set_int_max_str_digits(0)
+            assert code == 0
+            if report:
+                results = json.loads(out)["results"]
+                record = results if cell else results["records"][0]
+                assert (record["j"], record["i"], record["rhs"]) == (
+                    (60, 1, rhs) if cell else (0, 1, rhs))
+            else:
+                assert str(rhs) in out and out.endswith("status: pass\n")
 
 
 def _recorded_digests():
@@ -641,16 +675,16 @@ def test_package_exports_load_on_first_use():
 def test_method_both_builds_the_group_chain_once(monkeypatch, tmp_path, capsys):
     # C_2^3 on 18 points is not 2-generated, so every pair drawn fails: its
     # chain is 18 x 6 slots on 3 levels, 972 per draw, and rank 5 holds 8568
-    # subsets, which pays for 8 draws; their certification chains must not
-    # push the group's own chain out of the cache before Burnside reads it
+    # subsets, which pays for 8 draws; |G|, the draws and Burnside all read
+    # the one chain kept on the group, and each draw builds its own
     builds = []
-    build = groupact._stabilizer_chain.__wrapped__
+    build = groupact._stabilizer_chain
 
     def building(gens, n):
         builds.append(gens)
         return build(gens, n)
 
-    monkeypatch.setattr(groupact, "_stabilizer_chain", lru_cache(maxsize=8)(building))
+    monkeypatch.setattr(groupact, "_stabilizer_chain", building)
     path = tmp_path / "c2cubed.json"
     path.write_text(json.dumps({"kind": "permutation", "degree": 18,
                                 "generators": ["(1,2)", "(3,4)", "(5,6)"]}))
@@ -665,10 +699,9 @@ import json, sys
 from inchom import groupact
 groups = [groupact.parse_group(text) for text in json.loads(sys.argv[1])]
 pairs = [groupact._counting_generators(g, 10**9) for g in groups]
-groupact._stabilizer_chain.cache_clear()
-groupact._permutation_form.cache_clear()
-warm = [groupact._counting_generators(g, 10**9) for g in reversed(groups)][::-1]
-print(json.dumps([pairs, warm]))
+again = [groupact._counting_generators(groupact.parse_group(text), 10**9)
+         for text in reversed(json.loads(sys.argv[1]))][::-1]
+print(json.dumps([pairs, again]))
 """
 
 
@@ -680,6 +713,6 @@ def test_the_same_pair_comes_back_in_a_fresh_process(monkeypatch):
              workloads.matrix_group_file(workloads.MatrixGroup(3, 2, 3), random.Random(0))]
     here = json.loads(json.dumps([groupact._counting_generators(groupact.parse_group(t), 10**9)
                                   for t in texts]))
-    cold, warm = _fresh_python(_DRAWN_PAIRS, json.dumps(texts))
-    assert cold == warm == here
+    first, again = _fresh_python(_DRAWN_PAIRS, json.dumps(texts))
+    assert first == again == here
     assert [len(pair) for pair in here] == [2, 2]

@@ -4,7 +4,7 @@ import json
 import random
 import tracemalloc
 from dataclasses import replace
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb, factorial, gcd, prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import closure, corpus, matmul, matrix_closure, pmul
-from inchom.chartab import fix_count_subsets
+from inchom.chartab import dump_table, fix_count_subsets, load_table, sn_table
 from inchom.cli import data_text, main
 from inchom.gf import field, rref
 from inchom import groupact
@@ -69,6 +69,29 @@ def test_parse_group_files():
     with pytest.raises(DataError):
         parse_group(json.dumps({"kind": "permutation", "degree": 4,
                                 "generators": ["(1,2)(2,3)"]}))
+
+
+_ONE_POINT = {"kind": "permutation", "degree": 1, "generators": ["()"]}
+_ONE_BY_ONE = {"kind": "matrix", "n": 1, "q": 2, "generators": [[[1]]]}
+
+
+@pytest.mark.parametrize("field", ["degree", "order", "n", "q", "entry", "group_order", "size"])
+def test_json_true_is_not_a_number(field):
+    # JSON true is the int 1 to Python, which is a valid degree, order,
+    # dimension, entry, group order and class size; q = 1 was already refused
+    table = json.loads(dump_table(sn_table(1)))
+    if field == "group_order":
+        table["group_order"] = True
+    if field == "size":
+        table["classes"][0]["size"] = True
+    docs = {"degree": _ONE_POINT | {"degree": True},
+            "order": _ONE_POINT | {"order": True},
+            "n": _ONE_BY_ONE | {"n": True},
+            "q": _ONE_BY_ONE | {"q": True},
+            "entry": _ONE_BY_ONE | {"generators": [[[True]]]}}
+    load = parse_group if field in docs else load_table
+    with pytest.raises(DataError, match="True"):
+        load(json.dumps(docs.get(field, table)))
 
 
 def test_parse_matrix_group():
@@ -219,7 +242,6 @@ def test_chain_bound_refuses(monkeypatch):
     # the chain of S_8 stores 8 + 7 + ... + 2 = 35 representatives of 8 points;
     # GL(3, 2) moves the 7 nonzero vectors of GF(2)^3, and 7^2 > 40
     monkeypatch.setattr(groupact, "MAX_CHAIN_ENTRIES", 40)
-    groupact._stabilizer_chain.cache_clear()
     with pytest.raises(ResourceLimitError, match="over MAX_CHAIN_ENTRIES = 40"):
         group_order(_symmetric_on(8, 8))
     with pytest.raises(ResourceLimitError, match="7\\^2 exceeds MAX_CHAIN_ENTRIES = 40"):
@@ -229,10 +251,29 @@ def test_chain_bound_refuses(monkeypatch):
 
 
 def test_chain_bound_admits_m24_and_s64():
-    # cold chains, so the bound is checked while they are built
-    groupact._stabilizer_chain.cache_clear()
+    # each Group builds its own chain, so the bound is checked while it is built
     assert group_order(parse_group(data_text("m24.json"))) == 244823040
     assert group_order(_symmetric_on(64, 64)) == factorial(64)
+
+
+def test_chain_bound_holds_after_an_equal_group_was_computed(monkeypatch):
+    # a fresh Group builds its own chain and point action, so what an equal
+    # group computed before cannot get past a lowered bound
+    assert group_order(_symmetric_on(8, 8)) == factorial(8)
+    assert group_order(_gl32()) == 168
+    monkeypatch.setattr(groupact, "MAX_CHAIN_ENTRIES", 40)
+    with pytest.raises(ResourceLimitError, match="over MAX_CHAIN_ENTRIES = 40"):
+        group_order(_symmetric_on(8, 8))
+    with pytest.raises(ResourceLimitError, match="7\\^2 exceeds MAX_CHAIN_ENTRIES = 40"):
+        group_order(_gl32())
+
+
+def test_no_cache_is_keyed_by_generators():
+    # chains and point actions live on their Group; the only module-level
+    # cache is keyed by a byte count
+    cached = [name for name, obj in vars(groupact).items()
+              if hasattr(obj, "cache_info") and obj.__module__ == groupact.__name__]
+    assert cached == ["_colex_tables"]
 
 
 def test_cycle_type():
@@ -667,7 +708,7 @@ def test_counter_builds_no_chain(draw_spy, monkeypatch):
     def building(gens, n):
         raise AssertionError("the counter built a stabilizer chain")
 
-    monkeypatch.setattr(groupact, "_stabilizer_chain", lru_cache(maxsize=8)(building))
+    monkeypatch.setattr(groupact, "_stabilizer_chain", building)
     cycle = tuple((i + 1) % 63 for i in range(63))
     swaps = [(1, 0) + tuple(range(2, 63)), (0, 2, 1) + tuple(range(3, 63))]
     g = Group(kind="permutation", degree=63, generators=(cycle, *swaps))
@@ -990,7 +1031,7 @@ def test_certification_compares_orders(benchmark_path, draw_spy):
 
 
 def test_orbits_searches_the_vectors_of_a_matrix_group_once(monkeypatch, tmp_path):
-    # |G| and the counting pair of a 4-generator group read one cached P
+    # |G| and the counting pair of a 4-generator group read the one P kept on the Group
     from inchom.cli import main
 
     g = parse_group(json.dumps({"kind": "matrix", "n": 3, "q": 3,
@@ -1007,15 +1048,13 @@ def test_orbits_searches_the_vectors_of_a_matrix_group_once(monkeypatch, tmp_pat
         return point_action(h)
 
     monkeypatch.setattr(groupact, "_point_action", spying)
-    groupact._permutation_form.cache_clear()
     assert main(["orbits", str(path), spec.describe(), "--json"]) == 0
     assert calls == [4]
 
 
 def _drawn_elements(g, draw):
     """The matrices of draw number `draw`, made as the counter makes them."""
-    points, perms = groupact._permutation_form(g)
-    chain = groupact._stabilizer_chain(perms, len(points))
+    points, _, chain = g._chain
     rng = random.Random(draw)
     n = g.degree
     out = []
