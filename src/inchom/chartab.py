@@ -261,7 +261,7 @@ def load_table(source: str) -> CharacterTable:
             raise DataError(f"class {name!r}: bad size {size!r}")
         ct = c.get("cycle_type")
         if ct is not None:
-            if not isinstance(ct, list) or any(not isinstance(v, int) or v < 1 for v in ct):
+            if not isinstance(ct, list) or any(type(v) is not int or v < 1 for v in ct):
                 raise DataError(f"class {name!r}: bad cycle_type {ct!r}")
             ct = tuple(sorted(ct, reverse=True))
         classes.append(ConjClass(name=name, size=size, cycle_type=ct))

@@ -41,7 +41,8 @@ def _int_list(text: str) -> list:
             vals = json.loads(text)
         except json.JSONDecodeError:
             vals = None
-        if isinstance(vals, list) and all(isinstance(v, int) for v in vals):
+        # JSON true is an int to Python, so the type is tested exactly
+        if isinstance(vals, list) and all(type(v) is int for v in vals):
             return vals
         raise argparse.ArgumentTypeError(f"expected a JSON integer array, got {text!r}")
     try:

@@ -1,10 +1,12 @@
 """Arithmetic for GF(q), q prime or one of the supported prime powers 4, 8, 9, 16.
 
 Elements are integers 0..q-1.  For prime powers the integer encodes the
-coefficient vector of a polynomial in base p, and products are looked up in
-tables built once from the reducing polynomial.
+coefficient vector of a polynomial in base p, and sums and products are
+looked up in tables built once from the digit vectors and the reducing
+polynomial.
 """
 
+import operator
 from functools import lru_cache
 
 from .qarith import factorize
@@ -38,35 +40,28 @@ class GF:
         self.p = p
         self.e = e
         if e == 1:
-            self._mul = self._inv = None
+            self._add = self._neg = self._mul = self._inv = None
         else:
             if q not in _MIN_POLY:
                 raise ValueError(f"GF({q}) is not supported (prime q or q in 4, 8, 9, 16)")
-            self._mul = self._build_mul_table()
+            self._add, self._mul = self._build_tables()
+            self._neg = [row.index(0) for row in self._add]
             self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
-    def _build_mul_table(self):
-        p, e = self.p, self.e
-        _, red = _MIN_POLY[self.q]
-
-        def digits(v):
-            out = []
-            for _ in range(e):
-                out.append(v % p)
-                v //= p
-            return out
+    def _build_tables(self):
+        """(add table, mul table) on base-p digit vectors, products reduced by the polynomial."""
+        p, e, q = self.p, self.e, self.q
+        _, red = _MIN_POLY[q]
+        digits = [[a // p**i % p for i in range(e)] for a in range(q)]
 
         def undigits(ds):
-            v = 0
-            for d in reversed(ds):
-                v = v * p + d
-            return v
+            return sum(d * p**i for i, d in enumerate(ds))
 
-        table = [[0] * self.q for _ in range(self.q)]
-        for a in range(self.q):
-            da = digits(a)
-            for b in range(self.q):
-                db = digits(b)
+        add = [[undigits((x + y) % p for x, y in zip(da, db)) for db in digits]
+               for da in digits]
+        times = [[0] * q for _ in range(q)]
+        for a, da in enumerate(digits):
+            for b, db in enumerate(digits):
                 prod = [0] * (2 * e - 1)
                 for i, x in enumerate(da):
                     if x:
@@ -79,30 +74,18 @@ class GF:
                         prod[i] = 0
                         for j in range(e):
                             prod[i - e + j] = (prod[i - e + j] - c * red[j]) % p
-                table[a][b] = undigits(prod[:e])
-        return table
+                times[a][b] = undigits(prod[:e])
+        return add, times
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        # componentwise addition of base-p digit vectors
-        out, mult = 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return out
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        out, mult = 0, 1
-        for _ in range(self.e):
-            out += ((-a) % self.p) * mult
-            a //= self.p
-            mult *= self.p
-        return out
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -118,6 +101,20 @@ class GF:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self._inv[a]
+
+    def dot(self, u, v) -> int:
+        """The sum of u[i] v[i] over GF(q); 0 for empty vectors.
+
+        The point action, `act` and the incidence oracle's subobjects
+        compute every matrix product with it, one call per entry.
+        """
+        if self.e == 1:
+            return sum(map(operator.mul, u, v)) % self.p
+        add, table = self._add, self._mul
+        acc = 0
+        for a, b in zip(u, v):
+            acc = add[acc][table[a][b]]
+        return acc
 
 
 @lru_cache(maxsize=None)

@@ -127,6 +127,9 @@ class Group:
                 raise DataError(f"unsupported field size q = {self.q!r}: {exc}") from None
             for i, mat in enumerate(self.generators):
                 _validate_matrix_generator(mat, self.degree, self.q, f"generator {i + 1}")
+        else:
+            # `_chain` would take any other kind for a matrix group
+            raise DataError(f"unknown group kind {self.kind!r}")
 
     @cached_property
     def _chain(self) -> tuple:
@@ -323,7 +326,7 @@ def _point_action(g: Group) -> tuple:
     # points grows inside the loop; the iteration visits every point found
     for v in points:
         for mat, img in zip(g.generators, images):
-            w = tuple(_row_apply(v, row, F) for row in mat)
+            w = tuple(F.dot(v, row) for row in mat)
             if w not in index:
                 index[w] = len(points)
                 points.append(w)
@@ -734,7 +737,8 @@ def orbit_count_unionfind(g: Group, spec: PosetSpec, k: int, cap: int | None = N
     search while the orbits are large, one label propagation over the whole
     rank set once they turn small.  On subspaces each generator becomes an
     index map, built by `act` and the canonical-form index before counting
-    starts, and `_propagate_labels` counts over those maps.
+    starts, and `_propagate_labels` counts over those maps.  The rank's
+    listing and that index are built for this call and freed when it returns.
     """
     _check_action(g, spec)
     size = poset._check_cap(spec, k, cap)
@@ -769,23 +773,8 @@ def act(element, x, spec: PosetSpec):
                 out |= 1 << dst
         return out
     F = gf.field(spec.q)
-    n = spec.n
-    moved = tuple(
-        tuple(
-            _row_apply(row, element[c], F)
-            for c in range(n)
-        )
-        for row in x
-    )
-    out = gf.rref(moved, n, F)
+    moved = tuple(tuple(F.dot(row, grow) for grow in element) for row in x)
+    out = gf.rref(moved, spec.n, F)
     if len(out) != len(x):
         raise InternalConsistencyError("matrix action changed the rank of a subspace")
     return out
-
-
-def _row_apply(row, gcol, F):
-    acc = 0
-    for v, w in zip(row, gcol):
-        if v and w:
-            acc = F.add(acc, F.mul(v, w))
-    return acc

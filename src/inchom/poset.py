@@ -90,13 +90,12 @@ def _check_cap(spec: PosetSpec, k: int, cap) -> int:
     return size
 
 
-@lru_cache(maxsize=64)
-def _rref_profiles(k: int, n: int, q: int) -> tuple:
-    """All rank-k reduced row echelon k x n matrices over GF(q), sorted."""
-    if k < 0 or k > n:
-        return ()
-    if k == 0:
-        return ((),)
+def _rref_profiles(k: int, n: int, q: int) -> list:
+    """All rank-k reduced row echelon k x n matrices over GF(q), k >= 0, sorted.
+
+    Built anew on every call and kept by no cache: a listing lives as long
+    as its caller holds it.
+    """
     out = []
     for pivots in combinations(range(n), k):
         free = [
@@ -114,7 +113,7 @@ def _rref_profiles(k: int, n: int, q: int) -> tuple:
                 rows[r][c] = v
             out.append(tuple(tuple(row) for row in rows))
     out.sort()
-    return tuple(out)
+    return out
 
 
 def enumerate_rank(spec: PosetSpec, k: int, cap: int | None = None) -> list:
@@ -126,7 +125,7 @@ def enumerate_rank(spec: PosetSpec, k: int, cap: int | None = None) -> list:
         from .groupact import _bool_mask_array  # deferred: groupact loads numpy
 
         return [int(m) for m in _bool_mask_array(spec.n, k)]
-    return list(_rref_profiles(k, spec.n, spec.q))
+    return _rref_profiles(k, spec.n, spec.q)
 
 
 def canonical_form(spec: PosetSpec, x):
@@ -159,31 +158,23 @@ def contains(spec: PosetSpec, x, y) -> bool:
     return True
 
 
-def _subobjects(spec: PosetSpec, x, i: int):
-    """All elements of corank i below x, in canonical encoding."""
+def _subobjects(spec: PosetSpec, x, i: int, profiles):
+    """All elements of corank i below x, in canonical encoding.
+
+    Below a subspace x of k rows they are the row spaces of c x, c running
+    over `profiles`: the rank-(k - i) reduced coefficient matrices with k
+    columns, which the caller lists once for all x of a rank.
+    """
     if spec.kind == "boolean":
         bits = [b for b in range(spec.n) if (x >> b) & 1]
         for keep in combinations(bits, len(bits) - i):
             yield sum(1 << b for b in keep)
     else:
-        k = len(x)
         F = gf.field(spec.q)
-        for coeff in _rref_profiles(k - i, k, spec.q):
-            rows = tuple(
-                tuple(
-                    _dot_row(crow, x, c, F) for c in range(spec.n)
-                )
-                for crow in coeff
-            )
+        cols = tuple(zip(*x))
+        for coeff in profiles:
+            rows = tuple(tuple(F.dot(crow, col) for col in cols) for crow in coeff)
             yield gf.rref(rows, spec.n, F)
-
-
-def _dot_row(crow, x, c, F):
-    acc = 0
-    for j, a in enumerate(crow):
-        if a:
-            acc = F.add(acc, F.mul(a, x[j][c]))
-    return acc
 
 
 @lru_cache(maxsize=64)
@@ -195,10 +186,11 @@ def _incidence_cached(spec: PosetSpec, k: int, i: int) -> "SparseMat":
     if k < 0 or k > spec.n or k - i < 0:
         return SparseMat.zero(nrows, ncols, 0)
     index = {y: row for row, y in enumerate(enumerate_rank(spec, k - i))}
+    profiles = _rref_profiles(k - i, k, spec.q) if spec.kind == "projective" else None
     entries = {
         (index[y], col): 1
         for col, x in enumerate(enumerate_rank(spec, k))
-        for y in _subobjects(spec, x, i)
+        for y in _subobjects(spec, x, i, profiles)
     }
     return SparseMat(nrows, ncols, entries, 0)
 

@@ -418,6 +418,23 @@ def test_exit_code_contract(capsys):
     assert run(capsys, "chain", "--series", "5,0,5", "--pi", "2")[0] == 1
 
 
+@pytest.mark.parametrize("argv,good", [
+    (["chain", "--series", "{}", "--pi", "2"], "[1,2,1]"),
+    (["bounds", "-n", "4", "--pis", "{}"], "[2,3]"),
+    (["pitable", "--pmax", "3", "--q-list", "{}"], "[2,3]"),
+], ids=["series", "pis", "q-list"])
+def test_json_true_is_not_an_integer_in_a_list(capsys, argv, good):
+    # JSON true is the int 1 to Python; `chain --series "[1,true,1]"` used to
+    # echo true in inputs.series and check the chain on it
+    for bad in ("[1,true,1]", "[1,2.5,1]"):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(bad) for arg in argv] + ["--json"])
+        assert exc.value.code == 2
+        assert "expected a JSON integer array" in capsys.readouterr().err
+    code, _ = run_json(capsys, *[arg.format(good) for arg in argv])
+    assert code == 0
+
+
 def test_max_rank_size_leaves_library_defaults_alone(capsys):
     from inchom.poset import PosetSpec, enumerate_rank
 

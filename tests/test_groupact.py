@@ -1,3 +1,4 @@
+import gc
 import importlib
 import itertools
 import json
@@ -75,15 +76,19 @@ _ONE_POINT = {"kind": "permutation", "degree": 1, "generators": ["()"]}
 _ONE_BY_ONE = {"kind": "matrix", "n": 1, "q": 2, "generators": [[[1]]]}
 
 
-@pytest.mark.parametrize("field", ["degree", "order", "n", "q", "entry", "group_order", "size"])
+@pytest.mark.parametrize("field", ["degree", "order", "n", "q", "entry", "group_order", "size",
+                                   "cycle_type"])
 def test_json_true_is_not_a_number(field):
     # JSON true is the int 1 to Python, which is a valid degree, order,
-    # dimension, entry, group order and class size; q = 1 was already refused
+    # dimension, entry, group order, class size and cycle length; q = 1 was
+    # already refused
     table = json.loads(dump_table(sn_table(1)))
     if field == "group_order":
         table["group_order"] = True
     if field == "size":
         table["classes"][0]["size"] = True
+    if field == "cycle_type":
+        table["classes"][0]["cycle_type"] = [True]
     docs = {"degree": _ONE_POINT | {"degree": True},
             "order": _ONE_POINT | {"order": True},
             "n": _ONE_BY_ONE | {"n": True},
@@ -483,6 +488,16 @@ def test_a_generator_that_is_not_a_permutation_is_refused(gens):
     g = Group(kind="permutation", degree=4, generators=((1, 2, 3, 0),))
     with pytest.raises(DataError, match="is not a permutation"):
         replace(g, generators=gens)
+
+
+def test_an_unknown_group_kind_is_refused():
+    # any kind but "permutation" was taken for a matrix group, and
+    # group_order then failed on q = 0 with a ValueError
+    with pytest.raises(DataError, match="unknown group kind 'perm'"):
+        Group(kind="perm", degree=3, generators=((1, 2, 0),))
+    g = Group(kind="permutation", degree=3, generators=((1, 2, 0),))
+    with pytest.raises(DataError, match="unknown group kind 'perm'"):
+        replace(g, kind="perm")
 
 
 @pytest.mark.parametrize("gens,match", [
@@ -1149,6 +1164,29 @@ def test_singer_cycle_counts_match_the_closed_form(draw_spy, n, q, top):
     # one generator: the counter never draws, and never uses more generators
     assert groupact._counting_generators(g, 10**9) is g.generators
     assert draw_spy == []
+
+
+def test_a_subspace_count_keeps_nothing_once_it_returns():
+    # the rank's listing and its index live for one count: an rref listing
+    # cached across calls kept about 4 MiB after a count at rank 3 of
+    # projective:7,2 (11,811 subspaces).  A full collection also empties
+    # the interpreter's tuple free lists, which hold up to 2,000 spent
+    # tuples of each length.
+    singer = parse_group(json.dumps({"kind": "matrix", "n": 7, "q": 2,
+                                     "generators": [_singer_cycle(7, 2)]}))
+    spec = PosetSpec.projective(7, 2)
+    assert orbit_count_unionfind(singer, spec, 1) == 1
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count = orbit_count_unionfind(singer, spec, 3)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert count == singer_orbit_counts(7, 2)[3]
+    assert kept < 64 * 2**10, kept
 
 
 def test_subspace_counts_propagate_labels_without_a_search(benchmark_path, monkeypatch):

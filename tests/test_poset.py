@@ -1,3 +1,6 @@
+import random
+from functools import reduce
+
 import pytest
 
 from inchom import poset
@@ -304,6 +307,47 @@ def test_field_axioms_sampled(q):
             for c in pts:
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_dot_is_the_add_mul_fold(q):
+    F = field(q)
+    rng = random.Random(q)
+    assert F.dot((), ()) == 0
+    for length in range(1, 12):
+        for _ in range(20):
+            u = [rng.choice([0, 0, rng.randrange(q)]) for _ in range(length)]
+            v = [rng.choice([0, rng.randrange(q)]) for _ in range(length)]
+            want = reduce(F.add, map(F.mul, u, v), 0)
+            assert F.dot(u, v) == want, (u, v)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_add_and_neg_tables_are_digitwise_mod_p(q):
+    # an element of GF(p^e) is the integer of its base-p digit vector, and
+    # addition and negation act on each digit mod p
+    p, e = prime_power_decomposition(q)
+
+    def digits(a):
+        return [a // p**i % p for i in range(e)]
+
+    def number(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    F = field(q)
+    for a in range(q):
+        assert F.neg(a) == number([-d % p for d in digits(a)])
+        for b in range(q):
+            assert F.add(a, b) == number([(x + y) % p for x, y in zip(digits(a), digits(b))])
+            assert F.sub(a, b) == number([(x - y) % p for x, y in zip(digits(a), digits(b))])
+
+
+def test_no_cache_but_the_incidence_matrices():
+    # a rank's rref listing lives for one call; only the incidence builder,
+    # whose caps are checked before it is read, keeps results
+    cached = [name for name, obj in vars(poset).items()
+              if hasattr(obj, "cache_info") and obj.__module__ == poset.__name__]
+    assert cached == ["_incidence_cached"]
 
 
 @pytest.mark.parametrize("q", [10007, 1000003])
