@@ -39,12 +39,6 @@ class CharacterTable:
     classes: tuple
     irreducibles: tuple
 
-    @property
-    def exact(self) -> bool:
-        return all(
-            isinstance(v, (int, Fraction)) for irr in self.irreducibles for v in irr.values
-        )
-
     def irreducible(self, name: str) -> Irreducible:
         for irr in self.irreducibles:
             if irr.name == name:

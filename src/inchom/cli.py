@@ -172,7 +172,7 @@ def _check_orbit_series(counts, spec, order):
 def cmd_orbits(args) -> dict:
     from . import groupact  # deferred: groupact loads numpy
 
-    g = groupact.parse_group(_read_source(args.group), name=args.group)
+    g = groupact.parse_group(_read_source(args.group))
     spec = poset.PosetSpec.parse(args.poset)
     if args.k is not None and not 0 <= args.k <= spec.n:
         raise ValueError(f"rank {args.k} of {spec.describe()} is empty")
@@ -327,7 +327,7 @@ def _render_chain(report) -> str:
 def cmd_order(args) -> dict:
     from . import groupact  # deferred: groupact loads numpy
 
-    g = groupact.parse_group(_read_source(args.group), name=args.group)
+    g = groupact.parse_group(_read_source(args.group))
     order = groupact.group_order(g)
     factors = {str(p): e for p, e in factorize(order).items()}
     return {
@@ -457,12 +457,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     # folded sums of large projective posets run to thousands of digits
     # (4,335 for projective:120,16), and from 3.10.7 on Python refuses to
-    # print an int of more than 4,300 digits unless this lifts the limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    # print an int of more than 4,300 digits; the limit is lifted for this
+    # command and its output only, and the caller's value comes back after
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(args)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def _run(args) -> int:
+    """Run the parsed command, print its report and return the exit status."""
     started = time.perf_counter()
     try:
         report = args.func(args)

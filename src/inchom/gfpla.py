@@ -5,8 +5,6 @@ incidence matrices before reduction).  Zero-dimensional matrices are ordinary
 values so that sequence edges need no special-casing.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .qarith import FieldSpec
@@ -204,9 +202,18 @@ def nullity(m: SparseMat) -> int:
     return m.cols - rank(m)
 
 
-@lru_cache(maxsize=256)
-def _power_cached(spec, k: int, i: int, field: FieldSpec) -> SparseMat:
+def power_boundary(spec, k: int, i: int, field: FieldSpec) -> SparseMat:
+    """Matrix of the i-fold boundary map from rank k to rank k - i.
+
+    Computed as an i-fold product of single-step boundary matrices, each
+    built by `poset.boundary_matrix` on every call; ranks outside 0..n
+    contribute zero-dimensional factors, so the result is an empty matrix
+    whenever the domain or codomain vanishes.
+    """
     from . import poset  # deferred: poset builds on SparseMat
+
+    if i < 1:
+        raise ValueError(f"power_boundary needs i >= 1, got {i}")
 
     def factor(j):
         if 1 <= j <= spec.n:
@@ -217,15 +224,3 @@ def _power_cached(spec, k: int, i: int, field: FieldSpec) -> SparseMat:
     for j in range(k - 1, k - i, -1):
         out = matmul(factor(j), out)
     return out
-
-
-def power_boundary(spec, k: int, i: int, field: FieldSpec) -> SparseMat:
-    """Matrix of the i-fold boundary map from rank k to rank k - i.
-
-    Computed as an i-fold product of single-step boundary matrices; ranks
-    outside 0..n contribute zero-dimensional factors, so the result is an
-    empty matrix whenever the domain or codomain vanishes.
-    """
-    if i < 1:
-        raise ValueError(f"power_boundary needs i >= 1, got {i}")
-    return _power_cached(spec, k, i, field)

@@ -107,7 +107,6 @@ class Group:
     generators: tuple
     q: int = 0
     declared_order: int | None = None
-    name: str = ""
 
     def __post_init__(self):
         # the orbit counter walks forward images only, which needs every
@@ -165,7 +164,7 @@ def _as_tuples(value):
     return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
 
 
-def parse_group(source: str, name: str = "") -> Group:
+def parse_group(source: str) -> Group:
     """Build a validated Group from its JSON description."""
     try:
         doc = json.loads(source)
@@ -196,7 +195,7 @@ def parse_group(source: str, name: str = "") -> Group:
                 raise DataError(f"generator {i + 1}: {exc}") from None
         return Group(
             kind="permutation", degree=degree, generators=tuple(gens),
-            declared_order=declared, name=name,
+            declared_order=declared,
         )
 
     if kind == "matrix":
@@ -209,7 +208,7 @@ def parse_group(source: str, name: str = "") -> Group:
         # Group checks the field and every generator
         return Group(
             kind="matrix", degree=n, q=doc.get("q"), generators=_as_tuples(raw),
-            declared_order=declared, name=name,
+            declared_order=declared,
         )
 
     raise DataError(f"unknown group kind {kind!r}")

@@ -106,16 +106,18 @@ def distinguished_slot(n: int, pi: int, j: int, i: int) -> tuple | None:
     """The unique (j*, i*) of the sequence through (j, i) that lies in the window.
 
     The homology slots of one periodic sequence have 2j' - i' = 2j - i + s*pi
-    over s in Z; the open window (n - pi, n) of width pi admits at most one s.
-    Returns None when no slot is in the window, i.e. the sequence is exact.
+    over s in Z.  The open window (n - pi, n) holds the pi - 1 integers
+    n - pi + 1 .. n - 1, so it misses exactly the class 2j - i = n (mod pi):
+    then no slot is in the window and the sequence is exact (None).  Otherwise
+    s is the largest one with 2j - i + s*pi <= n - 1.
     """
     target = 2 * j - i
-    for s in range((n - pi + 1 - target) // pi - 1, (n - target) // pi + 2):
-        if n - pi < target + s * pi < n:
-            if s % 2 == 0:
-                return (j + (s // 2) * pi, i)
-            return (j - i + ((s + 1) // 2) * pi, pi - i)
-    return None
+    if (target - n) % pi == 0:
+        return None
+    s = (n - 1 - target) // pi
+    if s % 2 == 0:
+        return (j + (s // 2) * pi, i)
+    return (j - i + ((s + 1) // 2) * pi, pi - i)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ flattened rref entries — so every emitted matrix is reproducible.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from typing import TYPE_CHECKING
 
@@ -122,9 +121,9 @@ def enumerate_rank(spec: PosetSpec, k: int, cap: int | None = None) -> list:
         return []
     _check_cap(spec, k, cap)
     if spec.kind == "boolean":
-        from .groupact import _bool_mask_array  # deferred: groupact loads numpy
-
-        return [int(m) for m in _bool_mask_array(spec.n, k)]
+        # combinations of the bits, high to low, come in descending order
+        bits = [1 << b for b in range(spec.n - 1, -1, -1)]
+        return list(map(sum, combinations(bits, k)))[::-1]
     return _rref_profiles(k, spec.n, spec.q)
 
 
@@ -177,12 +176,18 @@ def _subobjects(spec: PosetSpec, x, i: int, profiles):
             yield gf.rref(rows, spec.n, F)
 
 
-@lru_cache(maxsize=64)
-def _incidence_cached(spec: PosetSpec, k: int, i: int) -> "SparseMat":
+def incidence_matrix(spec: PosetSpec, k: int, i: int) -> "SparseMat":
+    """0/1 integer matrix with entry (y, x) = 1 iff y <= x and rk x - rk y = i.
+
+    Raises ResourceLimitError when rank k or rank k - i has more than
+    poset.DEFAULT_RANK_CAP elements.  Built anew on every call.
+    """
     from .gfpla import SparseMat  # deferred: gfpla loads numpy
 
-    nrows = rank_size(spec, k - i)
-    ncols = rank_size(spec, k)
+    if i < 1:
+        raise ValueError(f"incidence_matrix needs i >= 1, got {i}")
+    ncols = _check_cap(spec, k, None)
+    nrows = _check_cap(spec, k - i, None)
     if k < 0 or k > spec.n or k - i < 0:
         return SparseMat.zero(nrows, ncols, 0)
     index = {y: row for row, y in enumerate(enumerate_rank(spec, k - i))}
@@ -193,19 +198,6 @@ def _incidence_cached(spec: PosetSpec, k: int, i: int) -> "SparseMat":
         for y in _subobjects(spec, x, i, profiles)
     }
     return SparseMat(nrows, ncols, entries, 0)
-
-
-def incidence_matrix(spec: PosetSpec, k: int, i: int) -> "SparseMat":
-    """0/1 integer matrix with entry (y, x) = 1 iff y <= x and rk x - rk y = i.
-
-    Raises ResourceLimitError when rank k or rank k - i has more than
-    poset.DEFAULT_RANK_CAP elements, before any cached matrix is used.
-    """
-    if i < 1:
-        raise ValueError(f"incidence_matrix needs i >= 1, got {i}")
-    _check_cap(spec, k, None)
-    _check_cap(spec, k - i, None)
-    return _incidence_cached(spec, k, i)
 
 
 def incidence_rank(spec: PosetSpec, k: int, i: int, field: FieldSpec) -> int:

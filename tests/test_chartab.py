@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -95,7 +96,8 @@ def test_load_table_rejects_perturbed():
 
 def test_load_complex_c5_table():
     t = load_table(data_text("c5_table.json"))
-    assert not t.exact
+    # C5 has complex character values, so the table is not exact
+    assert not all(isinstance(v, (int, Fraction)) for irr in t.irreducibles for v in irr.values)
     assert validate_table(t).passed
     series = multiplicity_series(t, "chi1", 5)
     assert series.values == (0, 1, 2, 2, 1, 0)

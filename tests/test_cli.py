@@ -177,6 +177,19 @@ def test_reports_print_integers_of_any_length(int_digit_limit, capsys):
                 assert str(rhs) in out and out.endswith("status: pass\n")
 
 
+def test_main_restores_the_digit_limit(int_digit_limit, capsys):
+    # the limit is lifted for the command only: a passing run, an argument
+    # error from argparse and an error report all hand the caller's back
+    assert run(capsys, "chain", "--series", "1,2,1", "--pi", "3", "--json")[0] == 0
+    assert sys.get_int_max_str_digits() == 4300
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits"])
+    assert exc.value.code == 2 and sys.get_int_max_str_digits() == 4300
+    code, doc = run_json(capsys, "homology", "boolean:0", "-p", "3")
+    assert code == 2 and doc["status"] == "error"
+    assert sys.get_int_max_str_digits() == 4300
+
+
 def _recorded_digests():
     """SHA-256 of stdout for each fixed benchmark call, keyed by its argv."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -654,6 +667,13 @@ def test_only_orbit_counting_loads_numpy():
                         "m for m in sys.modules if m.split('.')[0] in ('inchom', 'numpy'))))")
     assert got == ["inchom", "inchom.chartab", "inchom.cli", "inchom.errors", "inchom.gf",
                    "inchom.homology", "inchom.inequal", "inchom.poset", "inchom.qarith"]
+
+
+def test_enumerate_rank_loads_no_numpy():
+    got = _fresh_python("import json, sys; from inchom.poset import PosetSpec, enumerate_rank; "
+                        "masks = enumerate_rank(PosetSpec.boolean(6), 3); "
+                        "print(json.dumps([len(masks), 'numpy' in sys.modules]))")
+    assert got == [20, False]
 
 
 # every name the package exported while it imported gfpla and groupact eagerly,

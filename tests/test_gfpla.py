@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inchom import poset
+from inchom.errors import ResourceLimitError
 from inchom.gfpla import SparseMat, matmul, nullity, power_boundary, rank
 from inchom.poset import PosetSpec, boundary_matrix, incidence_matrix
 from inchom.qarith import FieldSpec
@@ -158,6 +160,17 @@ def test_power_boundary_empty_edges():
     assert (out.rows, out.cols) == (0, 1)
     with pytest.raises(ValueError):
         power_boundary(b4, 2, 0, f3)
+
+
+def test_power_boundary_cap_applies_after_a_warm_call(monkeypatch):
+    # boolean:6 rank 2 has 15 elements and rank 4 as many; every factor is
+    # built, and its caps checked, on every call
+    spec, f3 = PosetSpec.boolean(6), FieldSpec(3)
+    warm = power_boundary(spec, 4, 2, f3)
+    assert (warm.rows, warm.cols) == (15, 15)
+    monkeypatch.setattr(poset, "DEFAULT_RANK_CAP", 5)
+    with pytest.raises(ResourceLimitError):
+        power_boundary(spec, 4, 2, f3)
 
 
 def test_nullity():

@@ -103,6 +103,26 @@ def test_distinguished_slot():
     assert distinguished_slot(6, 3, 2, 1) is None
 
 
+def _distinguished_slot_by_search(n, pi, j, i):
+    """The slot found by trying every s near the window, the reference for the closed form."""
+    target = 2 * j - i
+    for s in range((n - pi + 1 - target) // pi - 1, (n - target) // pi + 2):
+        if n - pi < target + s * pi < n:
+            if s % 2 == 0:
+                return (j + (s // 2) * pi, i)
+            return (j - i + ((s + 1) // 2) * pi, pi - i)
+    return None
+
+
+def test_distinguished_slot_matches_search():
+    for pi in range(2, 14):
+        for n in range(30):
+            for j in range(-15, 45):
+                for i in range(1, pi):
+                    want = _distinguished_slot_by_search(n, pi, j, i)
+                    assert distinguished_slot(n, pi, j, i) == want, (n, pi, j, i)
+
+
 def test_homology_dim_examples():
     assert homology_dim(PosetSpec.boolean(4), FieldSpec(3), 2, 1) == 1
     assert homology_dim(PosetSpec.boolean(6), FieldSpec(2), 3, 1) == 0
@@ -232,7 +252,7 @@ def test_scan_builds_no_matrix(monkeypatch):
 
     for name in ("rank", "_rank_gf2", "_rank_modp", "matmul"):
         monkeypatch.setattr(gfpla, name, forbidden)
-    monkeypatch.setattr(poset, "_incidence_cached", forbidden)
+    monkeypatch.setattr(poset, "incidence_matrix", forbidden)
     assert homology_scan(PosetSpec.boolean(10), FieldSpec(7)).passed
 
 

@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from inchom import poset
+from inchom import gfpla, poset
 from inchom.errors import IncompatibleFieldError, ResourceLimitError
 from inchom.gf import field, prime_power_decomposition, rref
 from inchom.gfpla import rank
@@ -198,6 +198,12 @@ def test_incidence_cap_applies_to_warm_cache(monkeypatch):
     assert incidence_matrix(spec, 7, 2).rows == 56
 
 
+def test_each_incidence_matrix_is_the_callers_own():
+    spec = PosetSpec.boolean(4)
+    incidence_matrix(spec, 2, 1).entries.clear()
+    assert incidence_matrix(spec, 2, 1).nnz == 12
+
+
 def test_incidence_rank_matches_elimination():
     # the closed form against exact elimination for every 1 <= i <= k <= n,
     # i >= pi included; both branches (t = k - i <= n - k, and the
@@ -343,11 +349,11 @@ def test_add_and_neg_tables_are_digitwise_mod_p(q):
 
 
 def test_no_cache_but_the_incidence_matrices():
-    # a rank's rref listing lives for one call; only the incidence builder,
-    # whose caps are checked before it is read, keeps results
-    cached = [name for name, obj in vars(poset).items()
-              if hasattr(obj, "cache_info") and obj.__module__ == poset.__name__]
-    assert cached == ["_incidence_cached"]
+    # a rank's rref listing, an incidence matrix and a boundary power live
+    # for one call, so every call checks its caps and owns what it returns
+    cached = [name for module in (poset, gfpla) for name, obj in vars(module).items()
+              if hasattr(obj, "cache_info") and obj.__module__ == module.__name__]
+    assert cached == []
 
 
 @pytest.mark.parametrize("q", [10007, 1000003])
