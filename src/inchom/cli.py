@@ -457,17 +457,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # folded sums of large projective posets run to thousands of digits
     # (4,335 for projective:120,16), and from 3.10.7 on Python refuses to
-    # print an int of more than 4,300 digits; the limit is lifted for this
-    # command and its output only, and the caller's value comes back after
+    # read or print an int of more than 4,300 digits; the limit is lifted
+    # while this call parses, runs and prints, so such sums can be passed
+    # back in, and the caller's value comes back after, argparse's exit too
     if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     finally:
         sys.set_int_max_str_digits(digits)
 

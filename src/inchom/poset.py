@@ -121,9 +121,9 @@ def enumerate_rank(spec: PosetSpec, k: int, cap: int | None = None) -> list:
         return []
     _check_cap(spec, k, cap)
     if spec.kind == "boolean":
-        # combinations of the bits, high to low, come in descending order
-        bits = [1 << b for b in range(spec.n - 1, -1, -1)]
-        return list(map(sum, combinations(bits, k)))[::-1]
+        from .groupact import _bool_mask_array  # deferred: groupact loads numpy
+
+        return [int(m) for m in _bool_mask_array(spec.n, k)]
     return _rref_profiles(k, spec.n, spec.q)
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the suite is ordered so expensive shared caches warm up naturally.
+lines.
 """
 
 import functools

@@ -811,12 +811,10 @@ def test_m24_search_peak_memory():
 
 
 def test_colex_unrank_matches_the_mask_array():
-    # enumerate_rank lists the same masks in pure Python
     for n in range(17):
-        for k in range(-1, n + 2):
+        for k in range(n + 1):
             masks = _bool_mask_array(n, k).tolist()
             assert [groupact._colex_unrank(i, n, k) for i in range(len(masks))] == masks, (n, k)
-            assert n == 0 or enumerate_rank(PosetSpec.boolean(n), k) == masks, (n, k)
 
 
 @settings(max_examples=200, deadline=None)
