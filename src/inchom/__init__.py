@@ -21,7 +21,7 @@ from .chartab import (
     validate_table,
 )
 from .errors import DataError, IncompatibleFieldError, InternalConsistencyError, ResourceLimitError
-from .homology import homology_dim, homology_scan, sequence_layout, trace_check, vanishing_window
+from .homology import homology_dim, homology_scan, trace_check, vanishing_window
 from .inequal import check_chain, check_lw, check_palindrome, deduce_bounds, fold, symbolic_chain
 from .poset import PosetSpec, boundary_matrix, enumerate_rank, incidence_matrix, incidence_rank, rank_size
 from .qarith import FieldSpec, gauss_binom, q_factorial, q_int, quantum_char

@@ -245,12 +245,16 @@ def load_table(source: str) -> CharacterTable:
     # JSON true is an int to Python, so the type is tested exactly
     if type(order) is not int or order < 1:
         raise DataError(f"bad group_order {order!r}")
+    if not (isinstance(raw_classes, list) and isinstance(raw_irrs, list)):
+        raise DataError("table file needs classes and irreducibles as lists")
     classes = []
     for i, c in enumerate(raw_classes):
         try:
             name, size = c["name"], c["size"]
         except (KeyError, TypeError):
             raise DataError(f"class {i + 1}: needs name and size") from None
+        if not isinstance(name, str):
+            raise DataError(f"class {i + 1}: name {name!r} is not a string")
         if type(size) is not int or size < 1:
             raise DataError(f"class {name!r}: bad size {size!r}")
         ct = c.get("cycle_type")
@@ -265,6 +269,8 @@ def load_table(source: str) -> CharacterTable:
             name, values = r["name"], r["values"]
         except (KeyError, TypeError):
             raise DataError(f"irreducible {i + 1}: needs name and values") from None
+        if not isinstance(name, str):
+            raise DataError(f"irreducible {i + 1}: name {name!r} is not a string")
         if not isinstance(values, list) or len(values) != len(classes):
             raise DataError(f"irreducible {name!r}: needs one value per class")
         irreducibles.append(

@@ -52,8 +52,15 @@ def _int_list(text: str) -> list:
 
 
 def cmd_pitable(args) -> dict:
-    primes = [p for p in range(2, args.pmax + 1) if is_prime(p)]
     qs = args.q_list
+    # one slot for each listed prime and its cells, bounded like a scan's records
+    count = (args.pmax - 1) * (len(qs) + 1)
+    if count > homology.MAX_SCAN_RECORDS:
+        raise ResourceLimitError(
+            f"a pitable to pmax = {args.pmax} over {len(qs)} q values has up to {count} "
+            f"entries, over the bound {homology.MAX_SCAN_RECORDS}"
+        )
+    primes = [p for p in range(2, args.pmax + 1) if is_prime(p)]
     cells = []
     for p in primes:
         row = []
@@ -88,22 +95,22 @@ def cmd_homology(args) -> dict:
         raise DataError("give both -j and -i, or neither")
     if args.j is not None:
         inputs |= {"j": args.j, "i": args.i}
+        # the record validates and decides the cell; trace adds its slot and arrow
+        record = table.record(args.j, args.i)
         tc = table.trace(args.j, args.i)
-        dim = table.dim(args.j, args.i)
-        window = homology.vanishing_window(spec.n, pi, args.j, args.i)
         results = {
             "pi": pi,
             "j": args.j,
             "i": args.i,
-            "dim": dim,
-            "in_window": window,
+            "dim": record.dim,
+            "in_window": record.in_window,
             "slot": list(tc.slot),
-            "lhs": tc.lhs,
-            "rhs": tc.rhs,
-            "arrow": list(tc.layout.arrow),
-            "d": tc.layout.d,
+            "lhs": record.lhs,
+            "rhs": record.rhs,
+            "arrow": list(tc.arrow),
+            "d": tc.d,
         }
-        status = "pass" if tc.passed and (window or dim == 0) else "fail"
+        status = "pass" if record.passed else "fail"
     else:
         # the HomologyReport itself, so that _print_json writes its records
         # from their tuples

@@ -182,6 +182,12 @@ def parse_group(source: str) -> Group:
         degree = doc.get("degree")
         if type(degree) is not int or degree < 1:
             raise DataError(f"bad degree {degree!r}")
+        # every generator is a list of degree points, and every level of a
+        # nontrivial chain stores degree slots per representative
+        if degree > MAX_CHAIN_ENTRIES:
+            raise ResourceLimitError(
+                f"degree {degree} is over MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
+            )
         raw = doc.get("generators")
         if not isinstance(raw, list) or not raw:
             raise DataError("permutation group needs a nonempty generator list")

@@ -2,12 +2,13 @@
 
 For 0 < i < pi the modules at indices {j + t*pi} and {j - i + t*pi} form a
 two-step periodic sequence whose consecutive maps compose to zero.  This
-module lays out such sequences (the initial arrow and the position of j, in
-closed form from 2j - i mod pi and checked at run time), computes homology
+module finds the initial arrow of such a sequence and the position of j (in
+closed form from 2j - i mod pi, checked at run time), computes homology
 dimensions from closed-form p-ranks of incidence matrices, and checks the
 dimension-level trace identity against folded rank-size sums.  Every query
 goes through a HomologyTable, which holds what is fixed for one (poset,
-field): pi, the rank sizes, their folded sums and the incidence ranks.
+field): pi, the rank sizes, their folded sums and the incidence ranks, and
+whose record method is the one rule that decides a (j, i) cell.
 """
 
 from dataclasses import dataclass
@@ -21,41 +22,6 @@ from .qarith import FieldSpec, gauss_row, quantum_char
 # starting (boolean:6 at p = 10007 is 70,042 records, and its 11 MB of --json
 # take about 0.8 s and 32 MB peak RSS on a 2-core x86 box with Python 3.11)
 MAX_SCAN_RECORDS = 1_000_000
-
-
-@dataclass(frozen=True)
-class SequenceLayout:
-    """Layout data of one periodic sequence: its initial arrow and the position of index j.
-
-    indices is the display window of the sequence: both index classes
-    clipped to one period around 0..n (always containing j and the arrow).
-    """
-
-    j: int
-    i: int
-    pi: int
-    n: int
-    arrow: tuple[int, int]
-    d: int
-    indices: tuple
-
-
-def _index_window(j: int, i: int, pi: int) -> list:
-    """Sorted sequence indices in a window wide enough to contain the initial arrow and j.
-
-    Since 0 < i < pi, j - i + t*pi lies strictly between j + (t-1)*pi and
-    j + t*pi, so appending the two classes in turn keeps the list sorted and
-    free of repeats.
-    """
-    lo = min(j, -2 * pi) - 2 * pi
-    hi = max(j, 2 * pi) + 2 * pi
-    idx = []
-    for v in range(j + (lo - j) // pi * pi, hi + 1, pi):
-        if v - i >= lo:
-            idx.append(v - i)
-        if v >= lo:
-            idx.append(v)
-    return idx
 
 
 def _initial_arrow(j: int, i: int, pi: int) -> tuple:
@@ -78,21 +44,6 @@ def _initial_arrow(j: int, i: int, pi: int) -> tuple:
             f"bad initial arrow {(a, b)} for (j={j}, i={i}, pi={pi})"
         )
     return a, b, abs(s)
-
-
-def sequence_layout(j: int, i: int, pi: int, n: int) -> SequenceLayout:
-    """The initial arrow (a, b), the consecutive pair with 0 <= a + b < pi, and j's distance d.
-
-    The module at index b is the 0-position; d counts arrows between b and j.
-    Both come in closed form from _initial_arrow, which checks the arrow's
-    sum and gap before returning it; the display window lists the indices.
-    """
-    if not (0 < i < pi):
-        raise ValueError(f"need 0 < i < pi, got i={i}, pi={pi}")
-    a, b, d = _initial_arrow(j, i, pi)
-    lo, hi = min(j, a, -pi), max(j, b, n + pi)
-    display = tuple(v for v in _index_window(j, i, pi) if lo <= v <= hi)
-    return SequenceLayout(j=j, i=i, pi=pi, n=n, arrow=(a, b), d=d, indices=display)
 
 
 def vanishing_window(n: int, pi: int, j: int, i: int) -> bool:
@@ -122,13 +73,16 @@ def distinguished_slot(n: int, pi: int, j: int, i: int) -> tuple | None:
 
 @dataclass(frozen=True)
 class TraceCheck:
+    """The trace identity through (j, i), with the initial arrow and position d at its slot."""
+
     j: int
     i: int
     slot: tuple
     lhs: int
     rhs: int
     passed: bool
-    layout: SequenceLayout
+    arrow: tuple
+    d: int
 
 
 class ScanRecord(NamedTuple):
@@ -215,7 +169,7 @@ class HomologyTable:
         return dim
 
     def _trace_values(self, j: int, i: int) -> tuple:
-        """(slot, lhs, rhs) of the trace identity through (j, i), for 0 < i < pi.
+        """(slot, lhs, rhs, arrow, d) of the trace identity through (j, i), for 0 < i < pi.
 
         A negative signed rhs would mean the position convention broke, so it
         raises InternalConsistencyError on every route: scan, trace and cell.
@@ -231,16 +185,27 @@ class HomologyTable:
             raise InternalConsistencyError(
                 f"negative signed trace value {rhs} at (j={j}, i={i})"
             )
-        return slot, lhs, rhs
+        return slot, lhs, rhs, (a, b), d
 
     def trace(self, j: int, i: int) -> TraceCheck:
         """trace_check at (j, i)."""
         pi = self.pi
         if not (0 < i < pi):
             raise ValueError(f"need 0 < i < pi = {pi}, got i={i}")
-        slot, lhs, rhs = self._trace_values(j, i)
-        layout = sequence_layout(*slot, pi, self.spec.n)
-        return TraceCheck(j=j, i=i, slot=slot, lhs=lhs, rhs=rhs, passed=lhs == rhs, layout=layout)
+        slot, lhs, rhs, arrow, d = self._trace_values(j, i)
+        return TraceCheck(j=j, i=i, slot=slot, lhs=lhs, rhs=rhs, passed=lhs == rhs,
+                          arrow=arrow, d=d)
+
+    def record(self, j: int, i: int) -> ScanRecord:
+        """The ScanRecord of (j, i), the one rule that decides a cell.
+
+        It passes when the trace identity holds and the dimension vanishes
+        outside the window; dim validates j and i before anything is computed.
+        """
+        dim = self.dim(j, i)
+        window = vanishing_window(self.spec.n, self.pi, j, i)
+        _, lhs, rhs, _, _ = self._trace_values(j, i)
+        return ScanRecord(j, i, dim, window, lhs, rhs, lhs == rhs and (window or dim == 0))
 
     def scan(self) -> HomologyReport:
         """homology_scan of the table's poset and field."""
@@ -252,19 +217,9 @@ class HomologyTable:
                 f"a scan of {spec.describe()} over GF({self.field.p}) has {count} records, "
                 f"over the bound {MAX_SCAN_RECORDS}"
             )
-        records = []
-        ok = True
-        for i in range(1, pi):
-            for j in range(0, n + 1):
-                window = vanishing_window(n, pi, j, i)
-                dim = self.dim(j, i)
-                _, lhs, rhs = self._trace_values(j, i)
-                passed = lhs == rhs and (window or dim == 0)
-                ok = ok and passed
-                records.append(ScanRecord(j, i, dim, window, lhs, rhs, passed))
-        return HomologyReport(
-            poset=spec.describe(), p=self.field.p, pi=pi, records=tuple(records), passed=ok
-        )
+        records = tuple(self.record(j, i) for i in range(1, pi) for j in range(n + 1))
+        return HomologyReport(poset=spec.describe(), p=self.field.p, pi=pi, records=records,
+                              passed=all(r.passed for r in records))
 
 
 def homology_dim(spec: PosetSpec, field: FieldSpec, j: int, i: int) -> int:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import inchom
 from corpus import corpus
-from inchom import groupact, inequal
+from inchom import groupact, homology, inequal
 from inchom.cli import _chain_pis, data_text, main
 from inchom.groupact import cycles_of, orbit_count_unionfind, parse_group
 from inchom.homology import HomologyTable
@@ -61,6 +61,17 @@ def test_pitable_single_cells(capsys):
     assert doc["results"]["cells"][-1] == [None]
 
 
+def test_pitable_work_is_bounded_before_listing_primes(monkeypatch, capsys):
+    # (pmax - 1) * (len(qs) + 1) slots: 7 * 4 = 28 fit the bound, 8 * 4 do not
+    monkeypatch.setattr(homology, "MAX_SCAN_RECORDS", 28)
+    code, doc = run_json(capsys, "pitable", "--pmax", "8", "--q-list", "2,3,5")
+    assert code == 0 and doc["results"]["primes"] == [2, 3, 5, 7]
+    monkeypatch.setattr("inchom.cli.is_prime", None)  # refused before any prime is tested
+    code, doc = run_json(capsys, "pitable", "--pmax", "9", "--q-list", "2,3,5")
+    assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
+    assert "32 entries, over the bound 28" in doc["results"]["error"]
+
+
 def test_json_determinism(capsys):
     first = run(capsys, "homology", "boolean:6", "-p", "3", "--json")
     second = run(capsys, "homology", "boolean:6", "-p", "3", "--json")
@@ -74,6 +85,20 @@ def test_homology_single_pair(capsys):
     res = doc["results"]
     assert res["dim"] == 1 and res["lhs"] == res["rhs"] == 1
     assert res["pi"] == 3
+
+
+@pytest.mark.parametrize("poset,p", [("boolean:6", 3), ("boolean:6", 5), ("boolean:6", 7),
+                                     ("projective:4,2", 3)])
+def test_homology_cells_match_the_scan_records(capsys, poset, p):
+    # a -j -i cell reads its verdict from the same record rule as the scan
+    scan = HomologyTable(PosetSpec.parse(poset), FieldSpec(p)).scan()
+    assert scan.records
+    for r in scan.records:
+        code, doc = run_json(capsys, "homology", poset, "-p", str(p), "-j", str(r.j), "-i", str(r.i))
+        res = doc["results"]
+        assert (res["dim"], res["in_window"], res["lhs"], res["rhs"]) == (
+            r.dim, r.in_window, r.lhs, r.rhs), r
+        assert (code, doc["status"]) == ((0, "pass") if r.passed else (1, "fail")), r
 
 
 def test_broken_sign_convention_aborts_scan_and_cell(capsys, monkeypatch):
@@ -368,6 +393,32 @@ def test_mult_rejects_broken_table(tmp_path, capsys):
     assert "expected" in out["results"]["error"]
 
 
+def _sn2_table_doc():
+    from inchom.chartab import dump_table, sn_table
+
+    return json.loads(dump_table(sn_table(2)))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(classes=5),
+    lambda doc: doc.update(irreducibles=7),
+    lambda doc: doc["irreducibles"][0].update(name={"a": 1}),
+    lambda doc: doc["classes"][0].update(name=["1", "1"]),
+], ids=["classes-int", "irreducibles-int", "irreducible-name-dict", "class-name-list"])
+def test_mult_rejects_malformed_table(tmp_path, capsys, edit):
+    # malformed tables are input errors (exit 2), never a fail or a traceback;
+    # the named irreducible exists, so the untouched table passes
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_sn2_table_doc()))
+    argv = ("mult", str(path), "boolean:2", "-p", "3", "--irreducible", "1,1")
+    assert run_json(capsys, *argv)[0] == 0
+    doc = _sn2_table_doc()
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, *argv)
+    assert code == 2 and out["results"]["type"] == "DataError", out
+
+
 def test_bounds_examples(capsys):
     code, doc = run_json(capsys, "bounds", "-n", "10", "--pis", "9,8,7")
     assert code == 0
@@ -423,6 +474,21 @@ def test_order_of_a_long_cycle_is_refused(tmp_path):
     code, doc = _cli_within(30, "order", str(path))
     assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
     assert str(groupact.MAX_CHAIN_ENTRIES) in doc["results"]["error"]
+
+
+def test_permutation_degree_is_bounded_before_any_generator(monkeypatch, tmp_path, capsys):
+    # a generator holds degree points, so a degree over MAX_CHAIN_ENTRIES is
+    # refused before the generator list is read
+    monkeypatch.setattr(groupact, "MAX_CHAIN_ENTRIES", 40)
+    doc = {"kind": "permutation", "degree": 40, "generators": ["(1,2)"]}
+    assert parse_group(json.dumps(doc)).degree == 40
+    doc |= {"degree": 41, "generators": "not read"}
+    with pytest.raises(inchom.ResourceLimitError, match="degree 41 is over MAX_CHAIN_ENTRIES = 40"):
+        parse_group(json.dumps(doc))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "order", str(path))
+    assert code == 2 and out["results"]["type"] == "ResourceLimitError"
 
 
 def test_error_report_for_missing_file(capsys):
@@ -690,7 +756,7 @@ PACKAGE_EXPORTS = {
     "gfpla": "SparseMat matmul power_boundary rank",
     "groupact": "Group OrbitSeries act burnside_counts cycle_type group_order "
                 "orbit_count_unionfind parse_group",
-    "homology": "homology_dim homology_scan sequence_layout trace_check vanishing_window",
+    "homology": "homology_dim homology_scan trace_check vanishing_window",
     "inequal": "check_chain check_lw check_palindrome deduce_bounds fold symbolic_chain",
     "poset": "PosetSpec boundary_matrix enumerate_rank incidence_matrix incidence_rank rank_size",
     "qarith": "FieldSpec gauss_binom q_factorial q_int quantum_char",

@@ -2,16 +2,15 @@ import sys
 
 import pytest
 
-from inchom import qarith
+from inchom import homology, qarith
 from inchom.errors import ResourceLimitError
 from inchom.homology import (
     MAX_SCAN_RECORDS,
-    _index_window,
+    HomologyTable,
     _initial_arrow,
     distinguished_slot,
     homology_dim,
     homology_scan,
-    sequence_layout,
     trace_check,
     vanishing_window,
 )
@@ -20,26 +19,20 @@ from inchom.qarith import FieldSpec, quantum_char
 
 
 def test_sequence_layout_examples():
-    lay = sequence_layout(2, 1, 3, 4)
-    assert lay.arrow == (-1, 1) and lay.d == 1
-    lay = sequence_layout(3, 2, 7, 5)
-    assert lay.arrow == (1, 3) and lay.d == 0
-    lay = sequence_layout(2, 1, 2, 4)
-    assert lay.arrow == (0, 1) and lay.d == 1
+    # the initial arrow (a, b) and j's distance d from b
+    assert _initial_arrow(2, 1, 3) == (-1, 1, 1)
+    assert _initial_arrow(3, 2, 7) == (1, 3, 0)
+    assert _initial_arrow(2, 1, 2) == (0, 1, 1)
 
 
 def test_sequence_layout_invariants():
     for pi in (2, 3, 5, 7, 8):
         for i in range(1, pi):
             for j in range(0, 12):
-                lay = sequence_layout(j, i, pi, 10)
-                a, b = lay.arrow
+                a, b, d = _initial_arrow(j, i, pi)
                 assert 0 <= a + b < pi
                 assert b - a in (i, pi - i)
-                assert lay.d >= 0
-                assert j in lay.indices and a in lay.indices and b in lay.indices
-                gaps = {y - x for x, y in zip(lay.indices, lay.indices[1:])}
-                assert gaps <= {i, pi - i}
+                assert d >= 0
 
 
 def _index_window_by_set(j, i, pi):
@@ -56,16 +49,9 @@ def _index_window_by_set(j, i, pi):
     return sorted(idx)
 
 
-def test_index_window_matches_set_construction():
-    for pi in range(2, 40):
-        for i in range(1, pi):
-            for j in range(-3 * pi, 3 * pi):
-                assert _index_window(j, i, pi) == _index_window_by_set(j, i, pi), (j, i, pi)
-
-
 def _initial_arrow_by_scan(j, i, pi):
     """(a, b, d) found by scanning every consecutive pair of the index window."""
-    idx = _index_window(j, i, pi)
+    idx = _index_window_by_set(j, i, pi)
     initial = [(x, y) for x, y in zip(idx, idx[1:]) if 0 <= x + y < pi]
     assert len(initial) == 1, (j, i, pi, initial)
     a, b = initial[0]
@@ -82,9 +68,39 @@ def test_initial_arrow_matches_window_scan():
 
 def test_sequence_layout_rejects_bad_i():
     with pytest.raises(ValueError):
-        sequence_layout(2, 0, 3, 4)
+        trace_check(PosetSpec.boolean(4), FieldSpec(3), 2, 0)
     with pytest.raises(ValueError):
-        sequence_layout(2, 3, 3, 4)
+        trace_check(PosetSpec.boolean(4), FieldSpec(3), 2, 3)
+
+
+def test_record_rejects_bad_cells():
+    # dim's checks, in its order: i first, then j
+    table = HomologyTable(PosetSpec.boolean(4), FieldSpec(3))
+    with pytest.raises(ValueError, match=r"^need 0 < i < pi = 3, got i=3$"):
+        table.record(9, 3)
+    with pytest.raises(ValueError, match=r"^need 0 <= j <= 4, got j=5$"):
+        table.record(5, 1)
+    with pytest.raises(ValueError, match=r"^need 0 <= j <= 4, got j=-1$"):
+        table.record(-1, 2)
+
+
+def test_trace_finds_the_initial_arrow_once(monkeypatch):
+    calls = []
+    real = homology._initial_arrow
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homology, "_initial_arrow", spy)
+    table = HomologyTable(PosetSpec.boolean(8), FieldSpec(3))
+    for j in range(9):
+        for i in (1, 2):
+            del calls[:]
+            tc = table.trace(j, i)
+            assert len(calls) == 1, (j, i)
+            a, b, d = real(*tc.slot, 3)
+            assert (tc.arrow, tc.d) == ((a, b), d)
 
 
 def test_vanishing_window():
@@ -230,7 +246,7 @@ def test_trace_rhs_reduces_to_rank_difference_for_large_pi():
         for i in range(1, pi):
             tc = trace_check(spec, f, j, i)
             assert tc.rhs >= 0
-            a, b = tc.layout.arrow
+            a, b = tc.arrow
             sizes = sorted(
                 (
                     sum(rank_size(spec, v) for v in range(b % pi, spec.n + 1, pi)),

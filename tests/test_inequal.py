@@ -1,5 +1,5 @@
 from inchom.chartab import multiplicity_series, sn_table
-from inchom.homology import sequence_layout
+from inchom.homology import _initial_arrow
 from inchom.inequal import (
     check_chain,
     check_lw,
@@ -160,10 +160,9 @@ def test_layout_pairwise_inequalities_on_series():
         for i in range(1, pi):
             for j in range(n + 1):
                 slot = distinguished_slot(n, pi, j, i) or (j, i)
-                lay = sequence_layout(slot[0], slot[1], pi, n)
-                a, b = lay.arrow
+                a, b, d = _initial_arrow(slot[0], slot[1], pi)
                 fa, fb = fold(vals, pi, a), fold(vals, pi, b)
-                if lay.d % 2 == 0:
+                if d % 2 == 0:
                     assert fa <= fb, (vals, j, i)
                 else:
                     assert fb <= fa, (vals, j, i)
