@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import DataError, InternalConsistencyError
+from .errors import DataError, InternalConsistencyError, ResourceLimitError, field, read_json
 
 FLOAT_TOL = 1e-8
 MULT_TOL = 1e-6
@@ -156,9 +156,10 @@ class TableDiagnostics:
     problems: tuple
 
 
-def _inner_product(t: CharacterTable, u: Irreducible, v: Irreducible):
+def _inner_product(t: CharacterTable, us: tuple, vs: tuple):
+    """(1/|G|) sum over classes of |C| u(C) conj(v(C)): a Fraction, or a complex for floats."""
     total = 0
-    for cls, a, b in zip(t.classes, u.values, v.values):
+    for cls, a, b in zip(t.classes, us, vs):
         b_conj = b.conjugate() if isinstance(b, complex) else b
         total += cls.size * a * b_conj
     if isinstance(total, complex):
@@ -183,13 +184,10 @@ def validate_table(t: CharacterTable) -> TableDiagnostics:
         deg_sq = 0
         for irr in t.irreducibles:
             d = irr.values[0]
-            if isinstance(d, complex):
-                if abs(d.imag) > FLOAT_TOL or abs(d.real - round(d.real)) > FLOAT_TOL:
-                    problems.append(f"degree of {irr.name} is not a positive integer: {d}")
-                    continue
+            if isinstance(d, complex) and max(abs(d.imag), abs(d.real - round(d.real))) <= FLOAT_TOL:
                 d = round(d.real)
-            if d < 1:
-                problems.append(f"degree of {irr.name} is not positive: {d}")
+            if isinstance(d, complex) or d < 1:
+                problems.append(f"degree of {irr.name} is not a positive integer: {d}")
                 continue
             deg_sq += d * d
         if not problems and deg_sq != t.order:
@@ -197,7 +195,7 @@ def validate_table(t: CharacterTable) -> TableDiagnostics:
     for i, u in enumerate(t.irreducibles):
         for j in range(i, len(t.irreducibles)):
             v = t.irreducibles[j]
-            ip = _inner_product(t, u, v)
+            ip = _inner_product(t, u.values, v.values)
             want = 1 if i == j else 0
             if isinstance(ip, Fraction):
                 bad = ip != want
@@ -208,16 +206,13 @@ def validate_table(t: CharacterTable) -> TableDiagnostics:
     return TableDiagnostics(passed=not problems, problems=tuple(problems))
 
 
-def _decode_value(v):
-    if isinstance(v, bool):
-        raise DataError(f"bad character value {v!r}")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return complex(v, 0.0)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise DataError(f"bad character value {v!r}")
+def _decode_value(v, path: str):
+    """An integer as it is; a number or an [re, im] pair of numbers as a complex."""
+    if type(field(v, (int, float, list), path)) is not list:
+        return v if type(v) is int else complex(v)
+    if len(v) != 2:
+        raise DataError(f"{path} = {v!r} is not an [re, im] pair")
+    return complex(*(field(x, (int, float), f"{path}[{i}]") for i, x in enumerate(v)))
 
 
 def _encode_value(v):
@@ -230,52 +225,29 @@ def _encode_value(v):
 
 def load_table(source: str) -> CharacterTable:
     """Parse and validate a character table from its JSON text."""
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"table file is not valid JSON: {exc}") from None
-    try:
-        order = doc["group_order"]
-        raw_classes = doc["classes"]
-        raw_irrs = doc["irreducibles"]
-    except (KeyError, TypeError):
-        raise DataError(
-            "table file needs group_order, classes and irreducibles"
-        ) from None
-    # JSON true is an int to Python, so the type is tested exactly
-    if type(order) is not int or order < 1:
-        raise DataError(f"bad group_order {order!r}")
-    if not (isinstance(raw_classes, list) and isinstance(raw_irrs, list)):
-        raise DataError("table file needs classes and irreducibles as lists")
+    doc = field(read_json(source, "table file"), dict, "table file")
+    order = field(doc.get("group_order"), int, "group_order", low=1)
     classes = []
-    for i, c in enumerate(raw_classes):
-        try:
-            name, size = c["name"], c["size"]
-        except (KeyError, TypeError):
-            raise DataError(f"class {i + 1}: needs name and size") from None
-        if not isinstance(name, str):
-            raise DataError(f"class {i + 1}: name {name!r} is not a string")
-        if type(size) is not int or size < 1:
-            raise DataError(f"class {name!r}: bad size {size!r}")
-        ct = c.get("cycle_type")
+    for i, c in enumerate(field(doc.get("classes"), list, "classes")):
+        path = f"classes[{i}]"
+        c = field(c, dict, path)
+        ct = field(c.get("cycle_type"), list, f"{path}.cycle_type", default=None)
         if ct is not None:
-            if not isinstance(ct, list) or any(type(v) is not int or v < 1 for v in ct):
-                raise DataError(f"class {name!r}: bad cycle_type {ct!r}")
-            ct = tuple(sorted(ct, reverse=True))
-        classes.append(ConjClass(name=name, size=size, cycle_type=ct))
+            ct = tuple(sorted((field(v, int, f"{path}.cycle_type[{j}]", low=1)
+                               for j, v in enumerate(ct)), reverse=True))
+        classes.append(ConjClass(name=field(c.get("name"), str, f"{path}.name"),
+                                 size=field(c.get("size"), int, f"{path}.size", low=1),
+                                 cycle_type=ct))
     irreducibles = []
-    for i, r in enumerate(raw_irrs):
-        try:
-            name, values = r["name"], r["values"]
-        except (KeyError, TypeError):
-            raise DataError(f"irreducible {i + 1}: needs name and values") from None
-        if not isinstance(name, str):
-            raise DataError(f"irreducible {i + 1}: name {name!r} is not a string")
-        if not isinstance(values, list) or len(values) != len(classes):
-            raise DataError(f"irreducible {name!r}: needs one value per class")
-        irreducibles.append(
-            Irreducible(name=name, values=tuple(_decode_value(v) for v in values))
-        )
+    for i, r in enumerate(field(doc.get("irreducibles"), list, "irreducibles")):
+        path = f"irreducibles[{i}]"
+        r = field(r, dict, path)
+        name = field(r.get("name"), str, f"{path}.name")
+        values = field(r.get("values"), list, f"{path}.values")
+        if len(values) != len(classes):
+            raise DataError(f"{path}.values has {len(values)} entries, not one per class")
+        irreducibles.append(Irreducible(name=name, values=tuple(
+            _decode_value(v, f"{path}.values[{j}]") for j, v in enumerate(values))))
     table = CharacterTable(
         order=order, classes=tuple(classes), irreducibles=tuple(irreducibles)
     )
@@ -342,24 +314,21 @@ def multiplicity_series(t: CharacterTable, irreducible: str, n: int) -> Series:
     values = []
     for k in range(n + 1):
         fix = perm_character(t, n, k)
-        total = 0
-        for cls, f, v in zip(t.classes, fix, irr.values):
-            v_conj = v.conjugate() if isinstance(v, complex) else v
-            total += cls.size * f * v_conj
-        if isinstance(total, complex):
-            c = total / t.order
-            if abs(c.imag) > MULT_TOL or abs(c.real - round(c.real)) > MULT_TOL:
-                raise DataError(
-                    f"multiplicity of {irreducible!r} at k = {k} is not an integer: {c}"
-                )
-            c = round(c.real)
+        c = _inner_product(t, fix, irr.values)
+        if isinstance(c, complex):
+            # each float product and sum rounds by at most 2^-52 of the
+            # magnitudes summed; from |G|/4 on, c could round to a wrong integer
+            err = (len(t.classes) + 2) * sum(
+                cls.size * f * abs(v) for cls, f, v in zip(t.classes, fix, irr.values)) / 2**52
+            if err >= t.order / 4:
+                raise ResourceLimitError(f"multiplicity of {irreducible!r} at k = {k}: the float sum "
+                                         f"may be off by {err:.3g}, not below |G|/4 = {t.order / 4:g}")
+            whole = abs(c.imag) <= MULT_TOL and abs(c.real - round(c.real)) <= MULT_TOL
         else:
-            c = Fraction(total, t.order)
-            if c.denominator != 1:
-                raise DataError(
-                    f"multiplicity of {irreducible!r} at k = {k} is not an integer: {c}"
-                )
-            c = int(c)
+            whole = c.denominator == 1
+        if not whole:
+            raise DataError(f"multiplicity of {irreducible!r} at k = {k} is not an integer: {c}")
+        c = round(c.real)
         if c < 0:
             raise DataError(
                 f"multiplicity of {irreducible!r} at k = {k} is negative: {c}"

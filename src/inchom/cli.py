@@ -15,7 +15,8 @@ from dataclasses import replace
 from importlib import resources
 
 from . import chartab, homology, inequal, poset
-from .errors import DataError, IncompatibleFieldError, InternalConsistencyError, ResourceLimitError
+from .errors import (DataError, IncompatibleFieldError, InternalConsistencyError, ResourceLimitError,
+                     field, read_json)
 from .qarith import FieldSpec, factorize, is_prime, quantum_char
 
 PITABLE_DEFAULT_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
@@ -38,13 +39,10 @@ def _int_list(text: str) -> list:
     text = text.strip()
     if text.startswith("["):
         try:
-            vals = json.loads(text)
-        except json.JSONDecodeError:
-            vals = None
-        # JSON true is an int to Python, so the type is tested exactly
-        if isinstance(vals, list) and all(type(v) is int for v in vals):
-            return vals
-        raise argparse.ArgumentTypeError(f"expected a JSON integer array, got {text!r}")
+            vals = field(read_json(text, "list"), list, "list")
+            return [field(v, int, f"list[{i}]") for i, v in enumerate(vals)]
+        except DataError:
+            raise argparse.ArgumentTypeError(f"expected a JSON integer array, got {text!r}") from None
     try:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:

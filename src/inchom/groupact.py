@@ -10,7 +10,6 @@ module of the command line that loads numpy; `cli` imports it only for
 `orbits` and `order`.
 """
 
-import json
 import random
 import re
 from collections import Counter
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import gf, poset
 from .chartab import fix_count_subsets
-from .errors import DataError, InternalConsistencyError, ResourceLimitError
+from .errors import DataError, InternalConsistencyError, ResourceLimitError, field, read_json
 from .poset import PosetSpec
 
 DEFAULT_GROUP_CAP = 1_000_000
@@ -153,7 +152,7 @@ def _validate_matrix_generator(mat, n: int, q: int, where: str):
         raise DataError(f"{where}: matrix is not {n}x{n}")
     for r in mat:
         for v in r:
-            if type(v) is not int or not (0 <= v < q):
+            if not 0 <= field(v, int, f"{where}: entry") < q:
                 raise DataError(f"{where}: entry {v!r} outside 0..{q - 1}")
     if len(gf.rref(mat, n, gf.field(q))) != n:
         raise DataError(f"{where}: matrix is singular over GF({q})")
@@ -166,54 +165,36 @@ def _as_tuples(value):
 
 def parse_group(source: str) -> Group:
     """Build a validated Group from its JSON description."""
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"group file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise DataError("group file must be an object with a 'kind' field")
-    kind = doc["kind"]
-    declared = doc.get("order")
-    # JSON true and false are ints to Python, so every number is tested by type
-    if declared is not None and (type(declared) is not int or declared < 1):
-        raise DataError(f"declared order {declared!r} is not a positive integer")
+    doc = field(read_json(source, "group file"), dict, "group file")
+    kind = field(doc.get("kind"), str, "kind")
+    declared = field(doc.get("order"), int, "order", low=1, default=None)
 
     if kind == "permutation":
-        degree = doc.get("degree")
-        if type(degree) is not int or degree < 1:
-            raise DataError(f"bad degree {degree!r}")
-        # every generator is a list of degree points, and every level of a
-        # nontrivial chain stores degree slots per representative
-        if degree > MAX_CHAIN_ENTRIES:
+        degree = field(doc.get("degree"), int, "degree", low=1)
+        # a nontrivial generator puts at least two representatives of degree
+        # slots on the first level of the chain, and a generator holds degree points
+        if 2 * degree > MAX_CHAIN_ENTRIES:
             raise ResourceLimitError(
-                f"degree {degree} is over MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
+                f"degree {degree} needs 2 x {degree} chain slots, "
+                f"over MAX_CHAIN_ENTRIES = {MAX_CHAIN_ENTRIES}"
             )
-        raw = doc.get("generators")
-        if not isinstance(raw, list) or not raw:
-            raise DataError("permutation group needs a nonempty generator list")
         gens = []
-        for i, text in enumerate(raw):
-            if not isinstance(text, str):
-                raise DataError(f"generator {i + 1}: expected a cycle string")
+        for i, text in enumerate(field(doc.get("generators"), list, "generators", low=1)):
             try:
-                gens.append(parse_cycles(text, degree))
+                gens.append(parse_cycles(field(text, str, "cycle notation"), degree))
             except DataError as exc:
-                raise DataError(f"generator {i + 1}: {exc}") from None
+                raise DataError(f"generators[{i}]: {exc}") from None
         return Group(
             kind="permutation", degree=degree, generators=tuple(gens),
             declared_order=declared,
         )
 
     if kind == "matrix":
-        n = doc.get("n")
-        if type(n) is not int or n < 1:
-            raise DataError(f"bad dimension n = {n!r}")
-        raw = doc.get("generators")
-        if not isinstance(raw, list) or not raw:
-            raise DataError("matrix group needs a nonempty generator list")
-        # Group checks the field and every generator
+        # Group checks q and every generator
         return Group(
-            kind="matrix", degree=n, q=doc.get("q"), generators=_as_tuples(raw),
+            kind="matrix", degree=field(doc.get("n"), int, "n", low=1),
+            q=field(doc.get("q"), int, "q"),
+            generators=_as_tuples(field(doc.get("generators"), list, "generators", low=1)),
             declared_order=declared,
         )
 

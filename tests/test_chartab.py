@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb, cos, gcd, pi, sin
 
 import pytest
 
@@ -14,7 +15,7 @@ from inchom.chartab import (
     validate_table,
 )
 from inchom.cli import data_text
-from inchom.errors import DataError
+from inchom.errors import DataError, ResourceLimitError
 from inchom.groupact import burnside_counts
 from inchom.poset import PosetSpec
 from inchom.qarith import gauss_binom
@@ -101,6 +102,61 @@ def test_load_complex_c5_table():
     assert validate_table(t).passed
     series = multiplicity_series(t, "chi1", 5)
     assert series.values == (0, 1, 2, 2, 1, 0)
+
+
+def _cyclic_float_table(n: int) -> str:
+    """C_n acting regularly on n points, chi_j(g^r) as the float pair of exp(2 pi i jr/n)."""
+    return json.dumps({
+        "group_order": n,
+        "classes": [{"name": f"g^{r}", "size": 1, "cycle_type": [n // gcd(r, n)] * gcd(r, n)}
+                    for r in range(n)],
+        "irreducibles": [{"name": f"chi{j}", "values": [[cos(2 * pi * j * r / n), sin(2 * pi * j * r / n)]
+                                                        for r in range(n)]} for j in range(n)],
+    })
+
+
+def _mobius(m: int) -> int:
+    sign, p = 1, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def _ramanujan_sum(m: int, j: int) -> int:
+    """c_m(j), the sum of the j-th powers of the primitive m-th roots of unity."""
+    g = gcd(m, j)
+    return sum(_mobius(m // e) * e for e in range(1, g + 1) if g % e == 0)
+
+
+def _cyclic_multiplicity(n: int, j: int, k: int) -> int:
+    """(1/n) sum over d | n with (n/d) | k of C(d, k/(n/d)) c_{n/d}(j): chi_j in the k-subsets."""
+    total = sum(comb(d, k // (n // d)) * _ramanujan_sum(n // d, j)
+                for d in range(1, n + 1) if n % d == 0 and k % (n // d) == 0)
+    assert total % n == 0
+    return total // n
+
+
+@pytest.mark.parametrize("n", [5, 30, 48])
+def test_float_cyclic_tables_match_the_closed_form(n):
+    # the float error of every sum stays under |G|/4, so each multiplicity is exact
+    t = load_table(_cyclic_float_table(n))
+    for j in range(n):
+        want = tuple(_cyclic_multiplicity(n, j, k) for k in range(n + 1))
+        assert multiplicity_series(t, f"chi{j}", n).values == want, j
+
+
+def test_float_table_too_large_for_doubles_is_refused():
+    # at n = 64 the sums pass 2^53, where a float cannot show a wrong integer:
+    # chi1 at k = 30 came out 3 too large with status pass
+    t = load_table(_cyclic_float_table(64))
+    for name in ("chi0", "chi1", "chi63"):
+        with pytest.raises(ResourceLimitError, match="not below"):
+            multiplicity_series(t, name, 64)
 
 
 def test_perm_character_examples():

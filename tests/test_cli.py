@@ -404,7 +404,11 @@ def _sn2_table_doc():
     lambda doc: doc.update(irreducibles=7),
     lambda doc: doc["irreducibles"][0].update(name={"a": 1}),
     lambda doc: doc["classes"][0].update(name=["1", "1"]),
-], ids=["classes-int", "irreducibles-int", "irreducible-name-dict", "class-name-list"])
+    lambda doc: doc["irreducibles"][0]["values"].__setitem__(0, float("inf")),
+    lambda doc: doc["irreducibles"][1]["values"].__setitem__(1, float("nan")),
+    lambda doc: doc["irreducibles"][1]["values"].__setitem__(1, [float("-inf"), 0.0]),
+], ids=["classes-int", "irreducibles-int", "irreducible-name-dict", "class-name-list",
+        "degree-infinity", "value-nan", "pair-minus-infinity"])
 def test_mult_rejects_malformed_table(tmp_path, capsys, edit):
     # malformed tables are input errors (exit 2), never a fail or a traceback;
     # the named irreducible exists, so the untouched table passes
@@ -417,6 +421,64 @@ def test_mult_rejects_malformed_table(tmp_path, capsys, edit):
     path.write_text(json.dumps(doc))
     code, out = run_json(capsys, *argv)
     assert code == 2 and out["results"]["type"] == "DataError", out
+
+
+# what the fuzzer puts in place of a node of a bundled document: JSON true
+# and false, null, the non-finite numbers, a 70-bit integer, and values and
+# containers of the wrong kind; DEEP becomes 200,000 levels of nested arrays
+FUZZ_ATOMS = (True, False, None, float("nan"), float("inf"), float("-inf"), 2**70, -1, 0, 1.5,
+              "x", [], {}, [1, 2], {"a": 1}, "DEEP")
+FUZZ_CALLS = {
+    "c4.json": (("order",), ("orbits", "boolean:4")),
+    "d10.json": (("order",), ("orbits", "boolean:10", "--method", "both")),
+    "s4.json": (("order",), ("orbits", "boolean:4")),
+    "m24.json": (("order",), ("orbits", "boolean:24", "-k", "2")),
+    "c5_table.json": (("mult", "boolean:5", "-p", "3", "--irreducible", "chi1"),),
+    "s4_table.json": (("mult", "boolean:4", "-p", "5", "--irreducible", "3,1"),),
+    "s5_table.json": (("mult", "boolean:5", "-p", "7", "--irreducible", "4,1"),),
+}
+
+
+def _node_paths(doc, path=()):
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _node_paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_fuzzed_input_documents_fail_with_a_typed_error(tmp_path_factory, data):
+    # one or two nodes of a bundled group or table file replaced; every call
+    # must end in an exit status, and every error must be a typed input error
+    name = data.draw(st.sampled_from(sorted(FUZZ_CALLS)))
+    doc = json.loads(data_text(name))
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(_node_paths(doc))
+        atom = data.draw(st.sampled_from(FUZZ_ATOMS))
+        doc = _replaced(doc, data.draw(st.sampled_from(paths)), json.loads(json.dumps(atom)))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc).replace('"DEEP"', "[" * 200_000 + "]" * 200_000))
+    command, *rest = data.draw(st.sampled_from(FUZZ_CALLS[name]))
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(groupact, "MAX_CHAIN_ENTRIES", 4000)
+        mp.setattr("inchom.poset.DEFAULT_RANK_CAP", 300)
+        code = main([command, str(path), *rest, "--json"])
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert report["results"]["type"] in ("DataError", "ResourceLimitError"), report
 
 
 def test_bounds_examples(capsys):
@@ -477,18 +539,34 @@ def test_order_of_a_long_cycle_is_refused(tmp_path):
 
 
 def test_permutation_degree_is_bounded_before_any_generator(monkeypatch, tmp_path, capsys):
-    # a generator holds degree points, so a degree over MAX_CHAIN_ENTRIES is
-    # refused before the generator list is read
+    # a nontrivial generator puts two representatives of degree slots on the
+    # first chain level, so a degree over MAX_CHAIN_ENTRIES / 2 is refused
+    # before the generator list is read
     monkeypatch.setattr(groupact, "MAX_CHAIN_ENTRIES", 40)
-    doc = {"kind": "permutation", "degree": 40, "generators": ["(1,2)"]}
-    assert parse_group(json.dumps(doc)).degree == 40
-    doc |= {"degree": 41, "generators": "not read"}
-    with pytest.raises(inchom.ResourceLimitError, match="degree 41 is over MAX_CHAIN_ENTRIES = 40"):
-        parse_group(json.dumps(doc))
+    doc = {"kind": "permutation", "degree": 20, "generators": ["(1,2)"]}
+    assert parse_group(json.dumps(doc)).degree == 20
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
     code, out = run_json(capsys, "order", str(path))
+    assert code == 0 and out["results"]["order"] == 2
+    doc |= {"degree": 21, "generators": "not read"}
+    with pytest.raises(inchom.ResourceLimitError, match="degree 21 needs 2 x 21 chain slots, over MAX_CHAIN_ENTRIES = 40"):
+        parse_group(json.dumps(doc))
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "order", str(path))
     assert code == 2 and out["results"]["type"] == "ResourceLimitError"
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
+                                  '{"kind": "permutation", "degree": 4, "generators": ["(1,2)"], '
+                                  '"order": NaN}'], ids=["nested", "nan-order"])
+def test_order_refuses_a_group_file_that_does_not_decode(tmp_path, capsys, text):
+    # the decoder refuses deep nesting and non-finite numbers before any field is read
+    path = tmp_path / "group.json"
+    path.write_text(text)
+    code, out = run_json(capsys, "order", str(path))
+    assert code == 2 and out["results"]["type"] == "DataError", out
+    assert "group file is not valid JSON" in out["results"]["error"]
 
 
 def test_error_report_for_missing_file(capsys):
@@ -517,7 +595,7 @@ def test_exit_code_contract(capsys):
 def test_json_true_is_not_an_integer_in_a_list(capsys, argv, good):
     # JSON true is the int 1 to Python; `chain --series "[1,true,1]"` used to
     # echo true in inputs.series and check the chain on it
-    for bad in ("[1,true,1]", "[1,2.5,1]"):
+    for bad in ("[1,true,1]", "[1,2.5,1]", "[" * 50_000 + "]" * 50_000):
         with pytest.raises(SystemExit) as exc:
             main([arg.format(bad) for arg in argv] + ["--json"])
         assert exc.value.code == 2
