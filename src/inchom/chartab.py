@@ -2,22 +2,21 @@
 
 Symmetric-group tables are generated exactly with the Murnaghan-Nakayama
 rule (via beta-sets); tables of other groups are ingested from JSON and
-validated against the orthogonality relations.  Multiplicities are computed
-over the complex numbers, which match the characteristic-p values whenever
-p does not divide the group order.  Permutation characters of k-subset
-actions come from `fix_count_subsets`, which Burnside counting shares.
+validated against the orthogonality relations.  A character value is an int
+or a cyclotomic integer (m, coeffs), the sum of coeffs[i] zeta_m^i, so every
+multiplicity is exact; it matches the characteristic-p value whenever p does
+not divide the group order.  Permutation characters of k-subset actions come
+from `fix_count_subsets`, which Burnside counting shares.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .errors import DataError, InternalConsistencyError, ResourceLimitError, field, read_json
-
-FLOAT_TOL = 1e-8
-MULT_TOL = 1e-6
+from .errors import DataError, InternalConsistencyError, field, read_json
+from .qarith import factorize
 
 
 @dataclass(frozen=True)
@@ -156,22 +155,54 @@ class TableDiagnostics:
     problems: tuple
 
 
-def _inner_product(t: CharacterTable, us: tuple, vs: tuple):
-    """(1/|G|) sum over classes of |C| u(C) conj(v(C)): a Fraction, or a complex for floats."""
-    total = 0
-    for cls, a, b in zip(t.classes, us, vs):
-        b_conj = b.conjugate() if isinstance(b, complex) else b
-        total += cls.size * a * b_conj
-    if isinstance(total, complex):
-        return total / t.order
-    return Fraction(total, t.order)
+def _lift(values, root: int, conj: bool = False):
+    """A row of ints at root 1 as it is; else each value, or with conj its
+    conjugate (zeta^i to zeta^-i), as its terms (i, a) for a zeta_root^i."""
+    if root == 1:
+        return values
+    return [((0, v),) if type(v) is int else
+            [((-i if conj else i) * (root // v[0]) % root, a) for i, a in enumerate(v[1]) if a]
+            for v in values]
+
+
+def _inner_product(t: CharacterTable, us, vs, root: int, what: str) -> int:
+    """|G| <u, v> = sum over classes of |C| u(C) conj(v(C)), for us = _lift(u, root)
+    and vs = _lift(v, root, conj=True): an int, or DataError naming what.
+
+    Summed in Z[x]/(x^M - 1), M = root, then reduced mod Phi_M: for each q^e || M
+    but the largest prime p, zeta^j is minus the q - 1 other powers of its coset
+    of M/q, which differ in the top base-q digit of j mod q^e; the digit d > 0
+    that the fewest terms have is reduced away, so the sum at most doubles.  It
+    is rational iff then, on each coset of M/p, all coefficients off zeta^0 agree."""
+    if root == 1:
+        return sum(c.size * a * b for c, a, b in zip(t.classes, us, vs))
+    acc = Counter()
+    for c, xs, ys in zip(t.classes, us, vs):
+        for i, x in xs:
+            for j, y in ys:
+                acc[(i + j) % root] += c.size * x * y
+    *small, (p, _) = factorize(root).items()
+    for q, e in small:
+        used = Counter(i // q ** (e - 1) % q for i in acc)
+        d = min(range(1, min(q, len(used) + 2)), key=used.__getitem__)
+        for i, a in list(acc.items()):
+            if i // q ** (e - 1) % q == d:
+                del acc[i]
+                for s in range(1, q):
+                    acc[(i + s * root // q) % root] -= a
+    cosets = {}
+    for i, a in acc.items():
+        if a and i:
+            cosets.setdefault(i % (root // p), []).append(a)
+    if any(len(a) != p - (k == 0) or len(set(a)) > 1 for k, a in cosets.items()):
+        raise DataError(f"{what} is not a rational integer")
+    return acc[0] - cosets.get(0, [0])[0]
 
 
 def validate_table(t: CharacterTable) -> TableDiagnostics:
     """Check class sizes, degrees and orthonormality of the rows.
 
-    Exact tables are checked exactly; float tables within FLOAT_TOL.  The
-    first class must be the identity class (size 1).
+    Every check is exact.  The first class must be the identity class (size 1).
     """
     problems = []
     if sum(c.size for c in t.classes) != t.order:
@@ -184,43 +215,36 @@ def validate_table(t: CharacterTable) -> TableDiagnostics:
         deg_sq = 0
         for irr in t.irreducibles:
             d = irr.values[0]
-            if isinstance(d, complex) and max(abs(d.imag), abs(d.real - round(d.real))) <= FLOAT_TOL:
-                d = round(d.real)
-            if isinstance(d, complex) or d < 1:
+            if type(d) is not int or d < 1:
                 problems.append(f"degree of {irr.name} is not a positive integer: {d}")
                 continue
             deg_sq += d * d
         if not problems and deg_sq != t.order:
             problems.append(f"sum of squared degrees is {deg_sq}, not |G| = {t.order}")
+    root = lcm(*(v[0] for irr in t.irreducibles for v in irr.values if type(v) is tuple))
+    rows = [(_lift(irr.values, root), _lift(irr.values, root, conj=True)) for irr in t.irreducibles]
     for i, u in enumerate(t.irreducibles):
-        for j in range(i, len(t.irreducibles)):
-            v = t.irreducibles[j]
-            ip = _inner_product(t, u.values, v.values)
-            want = 1 if i == j else 0
-            if isinstance(ip, Fraction):
-                bad = ip != want
-            else:
-                bad = abs(ip - want) > FLOAT_TOL
-            if bad:
-                problems.append(f"<{u.name},{v.name}> = {ip}, expected {want}")
+        for j, v in enumerate(t.irreducibles[i:], i):
+            ip = _inner_product(t, rows[i][0], rows[j][1], root, f"|G| <{u.name},{v.name}>")
+            if ip != (t.order if i == j else 0):
+                problems.append(f"<{u.name},{v.name}> = {ip}/{t.order}, expected {int(i == j)}")
     return TableDiagnostics(passed=not problems, problems=tuple(problems))
 
 
 def _decode_value(v, path: str):
-    """An integer as it is; a number or an [re, im] pair of numbers as a complex."""
-    if type(field(v, (int, float, list), path)) is not list:
-        return v if type(v) is int else complex(v)
-    if len(v) != 2:
-        raise DataError(f"{path} = {v!r} is not an [re, im] pair")
-    return complex(*(field(x, (int, float), f"{path}[{i}]") for i, x in enumerate(v)))
-
-
-def _encode_value(v):
-    if isinstance(v, int):
+    """An int as it is; {"root": m, "coeffs": [a_0, ...]} as the int a_0 when
+    no other a_i is nonzero, else as (m, coeffs), the sum of a_i zeta_m^i."""
+    if type(v) is int:
         return v
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else [float(v), 0.0]
-    return [v.real, v.imag]
+    if type(v) is not dict:
+        raise DataError(f'{path} = {v!r} is not an integer or {{"root": m, "coeffs": [a_0, ...]}} for '
+                        "the sum of a_i zeta_m^i; floats and [re, im] pairs are not read")
+    m = field(v.get("root"), int, f"{path}.root", low=1)
+    coeffs = tuple(field(a, int, f"{path}.coeffs[{i}]")
+                   for i, a in enumerate(field(v.get("coeffs"), list, f"{path}.coeffs")))
+    if len(coeffs) > m:
+        raise DataError(f"{path}.coeffs has {len(coeffs)} entries, more than root = {m}")
+    return (m, coeffs) if any(coeffs[1:]) else (coeffs or (0,))[0]
 
 
 def load_table(source: str) -> CharacterTable:
@@ -260,18 +284,11 @@ def load_table(source: str) -> CharacterTable:
 def dump_table(t: CharacterTable) -> str:
     doc = {
         "group_order": t.order,
-        "classes": [
-            {
-                "name": c.name,
-                "size": c.size,
-                **({"cycle_type": list(c.cycle_type)} if c.cycle_type else {}),
-            }
-            for c in t.classes
-        ],
-        "irreducibles": [
-            {"name": irr.name, "values": [_encode_value(v) for v in irr.values]}
-            for irr in t.irreducibles
-        ],
+        "classes": [{"name": c.name, "size": c.size,
+                     **({"cycle_type": list(c.cycle_type)} if c.cycle_type else {})} for c in t.classes],
+        "irreducibles": [{"name": irr.name, "values": [
+            v if type(v) is int else {"root": v[0], "coeffs": list(v[1])} for v in irr.values]}
+            for irr in t.irreducibles],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -311,27 +328,15 @@ def perm_character(t: CharacterTable, n: int, k: int) -> tuple:
 def multiplicity_series(t: CharacterTable, irreducible: str, n: int) -> Series:
     """Multiplicity of the named irreducible in the k-subset representations, k = 0..n."""
     irr = t.irreducible(irreducible)
+    root = lcm(*(v[0] for v in irr.values if type(v) is tuple))
+    vs = _lift(irr.values, root, conj=True)
     values = []
     for k in range(n + 1):
-        fix = perm_character(t, n, k)
-        c = _inner_product(t, fix, irr.values)
-        if isinstance(c, complex):
-            # each float product and sum rounds by at most 2^-52 of the
-            # magnitudes summed; from |G|/4 on, c could round to a wrong integer
-            err = (len(t.classes) + 2) * sum(
-                cls.size * f * abs(v) for cls, f, v in zip(t.classes, fix, irr.values)) / 2**52
-            if err >= t.order / 4:
-                raise ResourceLimitError(f"multiplicity of {irreducible!r} at k = {k}: the float sum "
-                                         f"may be off by {err:.3g}, not below |G|/4 = {t.order / 4:g}")
-            whole = abs(c.imag) <= MULT_TOL and abs(c.real - round(c.real)) <= MULT_TOL
-        else:
-            whole = c.denominator == 1
-        if not whole:
-            raise DataError(f"multiplicity of {irreducible!r} at k = {k} is not an integer: {c}")
-        c = round(c.real)
-        if c < 0:
-            raise DataError(
-                f"multiplicity of {irreducible!r} at k = {k} is negative: {c}"
-            )
+        total = _inner_product(t, _lift(perm_character(t, n, k), root), vs, root,
+                               f"|G| times the multiplicity of {irreducible!r} at k = {k}")
+        c, r = divmod(total, t.order)
+        if r or c < 0:
+            raise DataError(f"multiplicity of {irreducible!r} at k = {k} is {total}/{t.order}, "
+                            "not a nonnegative integer")
         values.append(c)
     return Series(n=n, values=tuple(values))

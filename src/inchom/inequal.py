@@ -8,7 +8,14 @@ Stanley monotonicity toward the middle.
 
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError
+from . import homology
+from .errors import InternalConsistencyError, ResourceLimitError
+
+
+def _bounded(entries: int, what: str) -> None:
+    """Refuse, before it is built, a result of more entries than a scan may report."""
+    if entries > homology.MAX_SCAN_RECORDS:
+        raise ResourceLimitError(f"{what} has {entries} entries, over the bound {homology.MAX_SCAN_RECORDS}")
 
 
 def _values(c) -> tuple:
@@ -41,6 +48,7 @@ def check_chain(c, pi: int) -> FoldedChainResult:
     """Evaluate the folded chain and report the first failing comparison, if any."""
     if pi < 2:
         raise ValueError(f"check_chain needs pi >= 2, got {pi}")
+    _bounded(pi // 2 + 1, f"the folded chain at pi = {pi}")
     vals = _values(c)
     n = len(vals) - 1
     m, s = n // 2, pi // 2
@@ -95,6 +103,7 @@ def symbolic_chain(n: int, pi: int) -> list:
         raise ValueError(f"symbolic_chain needs pi >= 2, got {pi}")
     if n < 1:
         raise ValueError(f"symbolic_chain needs n >= 1, got {n}")
+    _bounded(pi // 2 + 1, f"the folded chain at pi = {pi}")
     m, s = n // 2, pi // 2
     return [
         tuple(j for j in range((m - r) % pi, n + 1, pi))
@@ -125,6 +134,8 @@ def deduce_bounds(n: int, pi_list) -> BoundsReport:
             raise ValueError(f"deduce_bounds needs each pi >= 2, got {pi}")
     if n < 1:
         raise ValueError(f"deduce_bounds needs n >= 1, got {n}")
+    # the bounds and every chain, counted before any is built
+    _bounded(n + 1 + sum(pi // 2 + 1 for pi in pis), f"deducing bounds to n = {n} at pi = {list(pis)}")
     m = n // 2
     bounds = [1] * (n + 1)
     log = [f"baseline: L_k = 1 for k = 0..{n}"]

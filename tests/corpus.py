@@ -2,12 +2,11 @@
 
 Group generators are fed through the public JSON parser; conjugacy classes
 are recovered by brute force (independent of the package's machinery), and
-the classical character values are attached per class.  Every table must
-pass exact orthogonality validation before use, so a transcription slip in
-any value fails loudly.
+the classical character values are attached per class, as exact cyclotomic
+integers.  Every table must pass exact orthogonality validation before use,
+so a transcription slip in any value fails loudly.
 """
 
-import cmath
 import json
 import math
 from itertools import combinations
@@ -135,6 +134,17 @@ def to_cycles(perm):
     return "".join(parts) if parts else "()"
 
 
+def cyclotomic(m, exps, sign=1):
+    """sign times the sum of zeta_m^e over exps, held as chartab holds a value:
+    an int when only zeta^0 has a nonzero coefficient, else (m, coeffs)."""
+    coeffs = [0] * m
+    for e in exps:
+        coeffs[e % m] += sign
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return (m, tuple(coeffs)) if any(coeffs[1:]) else (coeffs or [0])[0]
+
+
 def make_group(gens, order=None) -> Group:
     degree = len(gens[0])
     doc = {"kind": "permutation", "degree": degree,
@@ -174,7 +184,7 @@ def cyclic_entry(n):
         d = math.gcd(a, n) if a else n
         class_data.append((f"g^{a}", 1, tuple(sorted([n // d] * d, reverse=True))))
     irr_rows = [
-        (f"chi{j}", [cmath.exp(2 * cmath.pi * 1j * j * a / n) for a in range(n)])
+        (f"chi{j}", [cyclotomic(n, [j * a]) for a in range(n)])
         for j in range(n)
     ]
     table = _table(n, class_data, irr_rows)
@@ -231,7 +241,8 @@ def dihedral_entry(m):
         vals = []
         for rep in reps:
             j = _rotation_amount(rep, m)
-            vals.append(complex(2 * math.cos(2 * math.pi * h * j / m), 0) if j is not None else complex(0, 0))
+            # 2 cos(2 pi h j / m) = zeta_m^(hj) + zeta_m^(-hj)
+            vals.append(cyclotomic(m, [h * j, -h * j]) if j is not None else 0)
         irr_rows.append((f"2d{h}", vals))
     table = _table(2 * m, class_data, irr_rows)
     return f"D{m}", group, table, "triv"
@@ -247,7 +258,6 @@ def a4_entry():
     a = (1, 0, 3, 2)  # (1 2)(3 4)
     b = (1, 2, 0, 3)  # (1 2 3)
     group = make_group([a, b], order=12)
-    w = cmath.exp(2 * cmath.pi * 1j / 3)
     rep123 = b
     rep132 = pmul(b, b)
     ident = tuple(range(4))
@@ -258,11 +268,11 @@ def a4_entry():
         vals = []
         for cls in ordered:
             if rep123 in cls:
-                vals.append(w**power)
+                vals.append(cyclotomic(3, [power]))
             elif rep132 in cls:
-                vals.append(w ** (2 * power))
+                vals.append(cyclotomic(3, [2 * power]))
             else:
-                vals.append(complex(1, 0))
+                vals.append(1)
         return vals
 
     def chi3():
@@ -295,7 +305,8 @@ def a5_entry():
     ident = tuple(range(5))
     ordered = sorted(classes, key=lambda cls: (cls[0] != ident, len(cls), cls[0]))
     five_a = next(cls for cls in ordered if b in cls)
-    phi = (1 + math.sqrt(5)) / 2
+    # the golden ratio (1 + sqrt 5) / 2 = 1 + zeta_5 + zeta_5^4, and 1 - phi
+    phi, phi_bar = cyclotomic(5, [0, 1, 4]), cyclotomic(5, [1, 4], sign=-1)
     class_data = [(to_cycles(cls[0]), len(cls), ctype(cls[0])) for cls in ordered]
 
     def by_type(vals_map, five_a_val, five_b_val):
@@ -310,14 +321,10 @@ def a5_entry():
 
     irr_rows = [
         ("triv", [1] * 5),
-        ("3a", by_type({(1, 1, 1, 1, 1): 3, (2, 2, 1): -1, (3, 1, 1): 0}, phi, 1 - phi)),
-        ("3b", by_type({(1, 1, 1, 1, 1): 3, (2, 2, 1): -1, (3, 1, 1): 0}, 1 - phi, phi)),
+        ("3a", by_type({(1, 1, 1, 1, 1): 3, (2, 2, 1): -1, (3, 1, 1): 0}, phi, phi_bar)),
+        ("3b", by_type({(1, 1, 1, 1, 1): 3, (2, 2, 1): -1, (3, 1, 1): 0}, phi_bar, phi)),
         ("4", by_type({(1, 1, 1, 1, 1): 4, (2, 2, 1): 0, (3, 1, 1): 1}, -1, -1)),
         ("5", by_type({(1, 1, 1, 1, 1): 5, (2, 2, 1): 1, (3, 1, 1): -1}, 0, 0)),
-    ]
-    irr_rows = [
-        (name, [complex(v, 0) if not isinstance(v, complex) else v for v in vals])
-        for name, vals in irr_rows
     ]
     table = _table(60, class_data, irr_rows)
     return "A5", group, table, "triv"

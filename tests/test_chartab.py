@@ -1,11 +1,16 @@
+import cmath
 import json
-from fractions import Fraction
-from math import comb, cos, gcd, pi, sin
+import random
+from math import comb, gcd
 
 import pytest
 
-from corpus import corpus
+from corpus import corpus, cyclic_entry
+from inchom import chartab
 from inchom.chartab import (
+    CharacterTable,
+    ConjClass,
+    Irreducible,
     dump_table,
     load_table,
     multiplicity_series,
@@ -15,7 +20,7 @@ from inchom.chartab import (
     validate_table,
 )
 from inchom.cli import data_text
-from inchom.errors import DataError, ResourceLimitError
+from inchom.errors import DataError
 from inchom.groupact import burnside_counts
 from inchom.poset import PosetSpec
 from inchom.qarith import gauss_binom
@@ -97,21 +102,26 @@ def test_load_table_rejects_perturbed():
 
 def test_load_complex_c5_table():
     t = load_table(data_text("c5_table.json"))
-    # C5 has complex character values, so the table is not exact
-    assert not all(isinstance(v, (int, Fraction)) for irr in t.irreducibles for v in irr.values)
+    # C5 has values zeta_5^i, held exactly as (5, coeffs)
+    assert t.irreducibles[1].values[1] == (5, (0, 1))
+    assert t.irreducibles[2].values[4] == (5, (0, 0, 0, 1))
     assert validate_table(t).passed
+    assert load_table(dump_table(t)) == t
     series = multiplicity_series(t, "chi1", 5)
     assert series.values == (0, 1, 2, 2, 1, 0)
 
 
-def _cyclic_float_table(n: int) -> str:
-    """C_n acting regularly on n points, chi_j(g^r) as the float pair of exp(2 pi i jr/n)."""
+def _cyclic_table(n: int) -> str:
+    """C_n acting regularly on n points, chi_j(g^r) = zeta_n^(jr) in the exact JSON form."""
+    def zeta(e):
+        return 1 if e % n == 0 else {"root": n, "coeffs": [0] * (e % n) + [1]}
+
     return json.dumps({
         "group_order": n,
         "classes": [{"name": f"g^{r}", "size": 1, "cycle_type": [n // gcd(r, n)] * gcd(r, n)}
                     for r in range(n)],
-        "irreducibles": [{"name": f"chi{j}", "values": [[cos(2 * pi * j * r / n), sin(2 * pi * j * r / n)]
-                                                        for r in range(n)]} for j in range(n)],
+        "irreducibles": [{"name": f"chi{j}", "values": [zeta(j * r) for r in range(n)]}
+                         for j in range(n)],
     })
 
 
@@ -141,22 +151,97 @@ def _cyclic_multiplicity(n: int, j: int, k: int) -> int:
     return total // n
 
 
-@pytest.mark.parametrize("n", [5, 30, 48])
-def test_float_cyclic_tables_match_the_closed_form(n):
-    # the float error of every sum stays under |G|/4, so each multiplicity is exact
-    t = load_table(_cyclic_float_table(n))
+@pytest.mark.parametrize("n", [5, 30, 48, 64])
+def test_exact_cyclic_tables_match_the_closed_form(n):
+    # at n = 64 the sums pass 2^53, past the integers a double holds exactly
+    t = load_table(_cyclic_table(n))
+    series = [multiplicity_series(t, f"chi{j}", n).values for j in range(n)]
     for j in range(n):
-        want = tuple(_cyclic_multiplicity(n, j, k) for k in range(n + 1))
-        assert multiplicity_series(t, f"chi{j}", n).values == want, j
+        assert series[j] == tuple(_cyclic_multiplicity(n, j, k) for k in range(n + 1)), j
+    for k in range(n + 1):
+        assert sum(s[k] for s in series) == comb(n, k), k  # every degree is 1
+    if n == 64:
+        assert series[1][30] == 25_317_000_155_697_261
+        assert series[0][32] == 28_634_752_211_620_266
 
 
-def test_float_table_too_large_for_doubles_is_refused():
-    # at n = 64 the sums pass 2^53, where a float cannot show a wrong integer:
-    # chi1 at k = 30 came out 3 too large with status pass
-    t = load_table(_cyclic_float_table(64))
-    for name in ("chi0", "chi1", "chi63"):
-        with pytest.raises(ResourceLimitError, match="not below"):
-            multiplicity_series(t, name, 64)
+def test_a_conjugation_that_is_the_identity_fails_on_c5(monkeypatch):
+    # the mutant reads conj(zeta^i) as zeta^i, so <chi_1, chi_1> sums zeta^(2r) to 0
+    _, _, table, _ = cyclic_entry(5)
+    lift = chartab._lift
+    monkeypatch.setattr(chartab, "_lift", lambda values, root, conj=False: lift(values, root))
+    diag = validate_table(table)
+    assert not diag.passed
+    assert "<chi1,chi1> = 0/5, expected 1" in diag.problems
+
+
+def _embedded(v, m: int, z: complex) -> complex:
+    """The value v at zeta_m = z, in floating point, as an oracle for small values."""
+    return v if type(v) is int else sum(a * z ** (i * (m // v[0])) for i, a in enumerate(v[1]))
+
+
+@pytest.mark.parametrize("m", [6, 8, 9, 12, 30, 60, 105])
+def test_cyclotomic_sums_are_rational_exactly_when_every_embedding_agrees(m):
+    # sum |C| u conj(v) is a rational integer iff zeta_m -> zeta_m^a, a prime to m,
+    # fixes it; the Galois orbit sum of a term is one such, a random row is not
+    rng = random.Random(m)
+    units = [a for a in range(1, m) if gcd(a, m) == 1]
+    t = CharacterTable(order=1, classes=(ConjClass("c", 1),) * len(units), irreducibles=())
+    roots = [d for d in range(2, m + 1) if m % d == 0]
+    seen = set()
+    for case in range(120):
+        e, r = rng.randrange(m), rng.choice(roots)
+        us = [(m, tuple([0] * (a * e % m) + [1])) for a in units]  # an orbit sum
+        vs = [1] * len(units)
+        if case % 2:
+            us = [rng.choice([rng.randrange(-2, 3), (r, tuple(rng.randrange(-2, 3) for _ in range(r)))])
+                  for _ in units]
+            vs = [rng.choice([1, (r, tuple(rng.randrange(-1, 2) for _ in range(r)))]) for _ in units]
+        values = [sum(_embedded(u, m, z) * _embedded(v, m, z).conjugate() for u, v in zip(us, vs))
+                  for z in (cmath.exp(2j * cmath.pi * a / m) for a in units)]
+        rational = max(abs(w - values[0]) for w in values) < 1e-6
+        lifted = (chartab._lift(us, m), chartab._lift(vs, m, conj=True))
+        if rational:
+            assert chartab._inner_product(t, *lifted, m, "sum") == round(values[0].real), case
+        else:
+            with pytest.raises(DataError, match="not a rational integer"):
+                chartab._inner_product(t, *lifted, m, "sum")
+        seen.add(rational)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("value", [1.5, [0.3, 0.9], {"root": 0, "coeffs": []},
+                                   {"root": 2, "coeffs": [0, 1, 0]}, {"root": 5, "coeffs": [0, 1.0]},
+                                   {"root": True, "coeffs": [1]}, {"coeffs": [1]}])
+def test_load_table_refuses_a_value_not_in_the_exact_form(value):
+    doc = json.loads(data_text("c5_table.json"))
+    doc["irreducibles"][1]["values"][1] = value
+    with pytest.raises(DataError, match="root|coeffs|not read"):
+        load_table(json.dumps(doc))
+
+
+def test_a_sum_at_a_root_of_three_large_primes_is_decided_at_once():
+    # zeta_M, M = 1009 * 1013 * 1019, is no character value of a group of order 2;
+    # a reduction that always removed the top digit q - 1 would expand its
+    # conjugate into about 10^6 terms
+    doc = {"group_order": 2, "classes": [{"name": "e", "size": 1}, {"name": "g", "size": 1}],
+           "irreducibles": [{"name": "triv", "values": [1, 1]},
+                            {"name": "chi", "values": [1, {"root": 1009 * 1013 * 1019, "coeffs": [0, 1]}]}]}
+    with pytest.raises(DataError, match=r"\|G\| <triv,chi> is not a rational integer"):
+        load_table(json.dumps(doc))
+
+
+@pytest.mark.parametrize("cycle_types, name, k, want", [
+    (([1, 1, 1], [3]), "triv", 1, "is 3/2"),  # an element of order 2 as a 3-cycle
+    (([2], [1, 1]), "sign", 1, "is -2/2"),  # the identity as a 2-cycle
+])
+def test_a_multiplicity_that_is_no_nonnegative_integer_is_refused(cycle_types, name, k, want):
+    classes = tuple(ConjClass(f"c{i}", 1, tuple(ct)) for i, ct in enumerate(cycle_types))
+    t = CharacterTable(order=2, classes=classes,
+                       irreducibles=(Irreducible("triv", (1, 1)), Irreducible("sign", (1, -1))))
+    assert validate_table(t).passed
+    with pytest.raises(DataError, match=f"{name!r} at k = {k} {want}, not a nonnegative integer"):
+        multiplicity_series(t, name, sum(cycle_types[0]))
 
 
 def test_perm_character_examples():

@@ -393,6 +393,40 @@ def test_mult_rejects_broken_table(tmp_path, capsys):
     assert "expected" in out["results"]["error"]
 
 
+def test_mult_c5_report_is_unchanged(capsys):
+    # the bundled C5 table in the exact form prints what the float table printed
+    code, out, _ = run(capsys, "mult", "data:c5_table.json", "boolean:5", "-p", "3",
+                       "--irreducible", "chi1", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "450f0dde43187f2ee3c99b5e40a64d50abd73afc2c99e9cbfb11465212f4fbab")
+
+
+def test_mult_on_the_exact_c64_table(tmp_path, capsys):
+    # sums past 2^53, where the float table printed wrong values with status pass
+    from test_chartab import _cyclic_table
+
+    path = tmp_path / "c64.json"
+    path.write_text(_cyclic_table(64))
+    for name, k, want in (("chi1", 30, 25_317_000_155_697_261), ("chi0", 32, 28_634_752_211_620_266)):
+        code, doc = run_json(capsys, "mult", str(path), "boolean:64", "-p", "67", "--irreducible", name)
+        assert code == 0 and doc["status"] == "pass"
+        assert doc["results"]["series"][k] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("chain", "--series", "1,2,1", "--pi", str(10**12)),
+    ("bounds", "-n", "4", "--pis", str(10**12)),
+    ("bounds", "-n", str(10**9), "--pis", "3"),
+    ("mult", "sn:4", "boolean:4", "-p", "1000000000039", "--irreducible", "3,1"),
+], ids=["chain", "bounds-pi", "bounds-n", "mult"])
+def test_folded_chains_are_bounded_before_they_are_built(capsys, argv):
+    # pi // 2 + 1 entries per chain, and n + 1 bounds, against MAX_SCAN_RECORDS
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["results"]["type"] == "ResourceLimitError"
+    assert f"over the bound {homology.MAX_SCAN_RECORDS}" in doc["results"]["error"]
+
+
 def _sn2_table_doc():
     from inchom.chartab import dump_table, sn_table
 
@@ -407,8 +441,12 @@ def _sn2_table_doc():
     lambda doc: doc["irreducibles"][0]["values"].__setitem__(0, float("inf")),
     lambda doc: doc["irreducibles"][1]["values"].__setitem__(1, float("nan")),
     lambda doc: doc["irreducibles"][1]["values"].__setitem__(1, [float("-inf"), 0.0]),
+    lambda doc: doc["irreducibles"][1]["values"].__setitem__(1, -1.0),
+    lambda doc: doc["irreducibles"][1]["values"].__setitem__(1, [-1.0, 0.0]),
+    lambda doc: doc["irreducibles"][1]["values"].__setitem__(1, {"root": 2, "coeffs": [0, 1.0]}),
 ], ids=["classes-int", "irreducibles-int", "irreducible-name-dict", "class-name-list",
-        "degree-infinity", "value-nan", "pair-minus-infinity"])
+        "degree-infinity", "value-nan", "pair-minus-infinity", "value-float", "value-pair",
+        "coefficient-float"])
 def test_mult_rejects_malformed_table(tmp_path, capsys, edit):
     # malformed tables are input errors (exit 2), never a fail or a traceback;
     # the named irreducible exists, so the untouched table passes
@@ -424,10 +462,11 @@ def test_mult_rejects_malformed_table(tmp_path, capsys, edit):
 
 
 # what the fuzzer puts in place of a node of a bundled document: JSON true
-# and false, null, the non-finite numbers, a 70-bit integer, and values and
-# containers of the wrong kind; DEEP becomes 200,000 levels of nested arrays
-FUZZ_ATOMS = (True, False, None, float("nan"), float("inf"), float("-inf"), 2**70, -1, 0, 1.5,
-              "x", [], {}, [1, 2], {"a": 1}, "DEEP")
+# and false, null, the non-finite numbers, a 70-bit and a 401-digit integer,
+# values and containers of the wrong kind; DEEP becomes 200,000 levels of
+# nested arrays
+FUZZ_ATOMS = (True, False, None, float("nan"), float("inf"), float("-inf"), 2**70, 10**400, -1, 0,
+              1.5, "x", [], {}, [1, 2], {"a": 1}, "DEEP")
 FUZZ_CALLS = {
     "c4.json": (("order",), ("orbits", "boolean:4")),
     "d10.json": (("order",), ("orbits", "boolean:10", "--method", "both")),

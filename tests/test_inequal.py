@@ -1,4 +1,8 @@
+import pytest
+
+from inchom import homology
 from inchom.chartab import multiplicity_series, sn_table
+from inchom.errors import ResourceLimitError
 from inchom.homology import _initial_arrow
 from inchom.inequal import (
     check_chain,
@@ -40,6 +44,18 @@ def test_check_chain_m24():
     assert r17.passed and r17.folded == (5, 3, 3, 3, 3, 3, 3, 2, 2)
     r19 = check_chain(M24_SERIES, 19)
     assert r19.passed and r19.folded == (5, 3, 3, 3, 3, 2, 2, 2, 2, 2)
+
+
+def test_chain_entries_are_bounded_before_they_are_built(monkeypatch):
+    # a chain at pi has pi // 2 + 1 entries, and deduce_bounds adds its n + 1 bounds
+    monkeypatch.setattr(homology, "MAX_SCAN_RECORDS", 5)
+    assert len(check_chain((1, 2, 1), 9).folded) == 5
+    assert len(symbolic_chain(4, 9)) == 5
+    assert deduce_bounds(2, (3,)).bounds == (1, 1, 1)
+    for call in (lambda: check_chain((1, 2, 1), 10), lambda: symbolic_chain(4, 10),
+                 lambda: deduce_bounds(3, (3,)), lambda: deduce_bounds(4, (10**12,))):
+        with pytest.raises(ResourceLimitError, match="over the bound 5"):
+            call()
 
 
 def test_check_chain_small():
